@@ -11,6 +11,10 @@ already-derived line (gd1, top level only), distribution of quotation over
 implication (gd2), quotation of any formula in the existential fragment (gd3),
 the quoted-soundness-to-truth collapse (lob), the definitional unfolding and
 folding implications, and the consistency sentence's definition (con-def).
+
+The block discipline, citation and the script driver live in
+:class:`BlockChecker`, which the meta checker shares; :class:`_KernelChecker`
+adds only the step kinds and one ``rule_<name>`` method per rule.
 """
 
 from __future__ import annotations
@@ -77,15 +81,20 @@ class CheckReport:
 
 
 class _Fail(Exception):
-    def __init__(self, message: str):
-        self.message = message
+    """A step breaks a rule; the message says how."""
 
 
 @dataclass(frozen=True)
 class _Record:
-    formula: Formula
-    path: tuple[int, ...]
-    is_assume: bool
+    formula: Formula | None  # None for meta-bot
+    path: tuple[int, ...]  # the blocks open around the step
+    judgment: str = ""  # meta only: "Prv", "NotPrv" or "meta-bot"
+
+    def __str__(self) -> str:
+        if self.formula is None:
+            return self.judgment
+        text = print_formula(self.formula)
+        return f"{self.judgment}: {text}" if self.judgment else text
 
 
 # ---------------------------------------------------------------- helpers
@@ -230,28 +239,113 @@ def arity_violation(f: Formula, sig: Signature) -> str | None:
             return None
 
 
-# ---------------------------------------------------------------- checker
+# ---------------------------------------------------------------- block discipline
 
 
-class _KernelChecker:
-    def __init__(self, script: KernelScript, signature: Signature, axioms: dict[str, Formula]):
+class BlockChecker:
+    """Citation through open blocks and the script driver, shared by the
+    kernel and meta checkers.
+
+    A step opening a block pushes its own index on ``open_blocks`` before it
+    is recorded, so every record carries the path of blocks open around it;
+    a step may cite a record only while that record's path is still open.
+    Subclasses check their step kinds in ``_check_step`` and give each rule
+    a ``rule_<name>`` method (``-`` in a rule name spelled ``_``).
+    """
+
+    block = "assumption block"
+    goal = ""  # the judgment the final record must carry; the kernel has none
+
+    def __init__(self, script, signature: Signature):
         self.script = script
         self.sig = signature
-        self.axioms = axioms
         self.records: dict[int, _Record] = {}
-        self.order: list[int] = []
         self.open_blocks: list[int] = []
 
-    # -- record access
+    def visible(self, path: tuple[int, ...]) -> bool:
+        """Whether every block on path is still open around the current step."""
+        return path == tuple(self.open_blocks[: len(path)])
 
-    def get(self, ref: int) -> Formula:
+    def get(self, ref: int) -> _Record:
         rec = self.records.get(ref)
         if rec is None:
             raise _Fail(f"cites step {ref}, which does not exist")
-        here = tuple(self.open_blocks)
-        if rec.path != here[: len(rec.path)]:
+        if not self.visible(rec.path):
             raise _Fail(f"cites step {ref}, which sits in a closed block")
-        return rec.formula
+        return rec
+
+    def _record(self, index: int, formula: Formula | None, judgment: str = "") -> None:
+        self.records[index] = _Record(formula, tuple(self.open_blocks), judgment)
+
+    def close_block(self, target: int) -> _Record:
+        """Close the innermost block, which must be the one opened at target,
+        and return the last record inside it."""
+        if not self.open_blocks:
+            raise _Fail(f"no {self.block} is open")
+        if target != self.open_blocks[-1]:
+            raise _Fail(f"block to close is the one opened at step {self.open_blocks[-1]}, not {target}")
+        self.open_blocks.pop()
+        # the latest record sits in this block: closing a nested block records in it
+        return self.records[next(reversed(self.records))]
+
+    def handler(self, rule: str):
+        handle = getattr(self, "rule_" + rule.replace("-", "_"), None)
+        if handle is None:
+            raise _Fail(f"unknown rule {rule!r}")
+        return handle
+
+    def declare(self) -> None:
+        """Install the script's definitions in the signature."""
+        for d in self.script.defs:
+            try:
+                fix_intro(self.sig, d.name, d.params, d.body)
+            except (SyntaxBuildError, DiagonalError) as e:
+                raise _Fail(f"definition {d.name}: {e}") from None
+
+    def run(self) -> CheckReport:
+        report = CheckReport(self.script.name, ok=False)
+        violation = self._first_violation(report)
+        if violation is None:
+            report.ok = True
+            report.conclusion = self.script.conclusion
+        else:
+            report.violations.append(violation)
+        return report
+
+    def _first_violation(self, report: CheckReport) -> Violation | None:
+        """Check the script, counting checked steps in report."""
+        try:
+            self.declare()
+        except _Fail as e:
+            return Violation(None, str(e))
+        last_index = 0
+        for step in self.script.steps:
+            try:
+                if step.index <= last_index:
+                    raise _Fail(f"step numbers must increase (previous was {last_index})")
+                last_index = step.index
+                self._check_step(step)
+            except (_Fail, SyntaxBuildError) as e:
+                return Violation(step.index, str(e))
+            report.steps_checked += 1
+        if self.open_blocks:
+            return Violation(None, f"{self.block} opened at step {self.open_blocks[-1]} is never closed")
+        if not self.records:
+            return Violation(None, "script has no steps")
+        index = next(reversed(self.records))
+        last = self.records[index]
+        if last.judgment != self.goal or not alpha_eq(last.formula, self.script.conclusion):
+            return Violation(index, f"final step proves {last}, not the stated conclusion")
+        return None
+
+
+# ---------------------------------------------------------------- checker
+
+
+class _KernelChecker(BlockChecker):
+    def __init__(self, script: KernelScript, signature: Signature, axioms: dict[str, Formula]):
+        super().__init__(script, signature)
+        self.axioms = axioms
 
     def arity_check(self, f: Formula) -> None:
         problem = arity_violation(f, self.sig)
@@ -261,10 +355,22 @@ class _KernelChecker:
     def active_assumptions(self) -> list[Formula]:
         return [self.records[i].formula for i in self.open_blocks]
 
+    def _check_step(self, step: KernelStep) -> None:
+        if step.kind == "qed":
+            last = self.close_block(step.target)
+            self._record(step.index, Imp(self.records[step.target].formula, last.formula))
+            return
+        self.arity_check(step.formula)
+        if step.kind == "assume":
+            self.open_blocks.append(step.index)
+        else:
+            self.handler(step.rule)(step)
+        self._record(step.index, step.formula)
+
     # -- rule handlers; each raises _Fail or returns None
 
     def rule_taut(self, step: KernelStep) -> None:
-        premises = [self.get(r) for r in step.refs]
+        premises = [self.get(r).formula for r in step.refs]
         ok, witness = taut_consequence(premises, step.formula)
         if not ok:
             raise _Fail(f"not a tautological consequence; countervaluation {witness}")
@@ -312,7 +418,7 @@ class _KernelChecker:
     def rule_orE(self, step: KernelStep) -> None:
         if len(step.refs) != 3:
             raise _Fail("orE cites a disjunction and two implications")
-        fi, fj, fk = (self.get(r) for r in step.refs)
+        fi, fj, fk = (self.get(r).formula for r in step.refs)
         if not isinstance(fi, Or):
             raise _Fail("first cited step is not a disjunction")
         if not (isinstance(fj, Imp) and alpha_eq(fj.left, fi.left)):
@@ -422,10 +528,7 @@ class _KernelChecker:
         if not (isinstance(app, PredApp) and app.name == step.name):
             side = "antecedent" if folded_on_left else "consequent"
             raise _Fail(f"{side} is not an application of {step.name}")
-        try:
-            want = self.sig.instantiate(step.name, app.args)
-        except SyntaxBuildError as e:
-            raise _Fail(str(e)) from None
+        want = self.sig.instantiate(step.name, app.args)
         if not alpha_eq(body, want):
             raise _Fail("other side does not match the instantiated definition body")
 
@@ -450,11 +553,8 @@ class _KernelChecker:
         if not isinstance(outer.template, Imp):
             raise _Fail("outermost quotation does not contain an implication")
         a, b = outer.template.left, outer.template.right
-        try:
-            want1 = Box(a, _restrict(outer.subst, free_vars(a)))
-            want2 = Box(b, _restrict(outer.subst, free_vars(b)))
-        except SyntaxBuildError as e:
-            raise _Fail(str(e)) from None
+        want1 = Box(a, _restrict(outer.subst, free_vars(a)))
+        want2 = Box(b, _restrict(outer.subst, free_vars(b)))
         if not alpha_eq(f.right.left, want1):
             raise _Fail("quoted antecedent does not carry the restricted substitution")
         if not alpha_eq(f.right.right, want2):
@@ -475,13 +575,10 @@ class _KernelChecker:
         if not (isinstance(f, Imp) and isinstance(f.left, Box) and isinstance(f.right, Box)):
             raise _Fail("shape must be: quoted soundness-assertion implies quoted formula")
         target = f.right
-        try:
-            expected = Imp(
-                Box(Imp(identity_box(target.template), target.template), target.subst),
-                target,
-            )
-        except SyntaxBuildError as e:
-            raise _Fail(str(e)) from None
+        expected = Imp(
+            Box(Imp(identity_box(target.template), target.template), target.subst),
+            target,
+        )
         if not alpha_eq(f, expected):
             raise _Fail("antecedent does not quote `if provable then true` for the consequent's formula")
 
@@ -498,112 +595,12 @@ class _KernelChecker:
     def _one(self, step: KernelStep) -> Formula:
         if len(step.refs) != 1:
             raise _Fail(f"{step.rule} cites exactly one step")
-        return self.get(step.refs[0])
+        return self.get(step.refs[0]).formula
 
     def _two(self, step: KernelStep) -> tuple[Formula, Formula]:
         if len(step.refs) != 2:
             raise _Fail(f"{step.rule} cites exactly two steps")
-        return self.get(step.refs[0]), self.get(step.refs[1])
-
-    # -- driver
-
-    _HANDLERS = {
-        "taut": rule_taut,
-        "mp": rule_mp,
-        "andI": rule_andI,
-        "andE1": rule_andE1,
-        "andE2": rule_andE2,
-        "orI1": rule_orI1,
-        "orI2": rule_orI2,
-        "orE": rule_orE,
-        "negI": rule_negI,
-        "negE": rule_negE,
-        "allI": rule_allI,
-        "allE": rule_allE,
-        "exI": rule_exI,
-        "exE": rule_exE,
-        "arith": rule_arith,
-        "numeval": rule_numeval,
-        "unfold": rule_unfold,
-        "fold": rule_fold,
-        "gd1": rule_gd1,
-        "gd2": rule_gd2,
-        "gd3": rule_gd3,
-        "lob": rule_lob,
-        "con-def": rule_con_def,
-        "reiterate": rule_reiterate,
-    }
-
-    def run(self) -> CheckReport:
-        report = CheckReport(self.script.name, ok=False)
-        for d in self.script.defs:
-            try:
-                fix_intro(self.sig, d.name, d.params, d.body)
-            except (SyntaxBuildError, DiagonalError) as e:
-                report.violations.append(Violation(None, f"definition {d.name}: {e}"))
-                return report
-        last_index = 0
-        for step in self.script.steps:
-            try:
-                if step.index <= last_index:
-                    raise _Fail(f"step numbers must increase (previous was {last_index})")
-                last_index = step.index
-                self._check_step(step)
-            except _Fail as e:
-                report.violations.append(Violation(step.index, e.message))
-                report.steps_checked = len(self.records)
-                return report
-            report.steps_checked += 1
-        if self.open_blocks:
-            report.violations.append(
-                Violation(None, f"assumption block opened at step {self.open_blocks[-1]} is never closed")
-            )
-            return report
-        if not self.order:
-            report.violations.append(Violation(None, "script has no steps"))
-            return report
-        last = self.records[self.order[-1]]
-        if not alpha_eq(last.formula, self.script.conclusion):
-            report.violations.append(
-                Violation(self.order[-1],
-                          f"final step proves {print_formula(last.formula)}, "
-                          f"not the stated conclusion")
-            )
-            return report
-        report.ok = True
-        report.conclusion = self.script.conclusion
-        return report
-
-    def _check_step(self, step: KernelStep) -> None:
-        if step.kind == "assume":
-            self.arity_check(step.formula)
-            self.open_blocks.append(step.index)
-            self._record(step.index, step.formula, is_assume=True)
-            return
-        if step.kind == "qed":
-            if not self.open_blocks:
-                raise _Fail("no assumption block is open")
-            if step.target != self.open_blocks[-1]:
-                raise _Fail(
-                    f"block to close is the one opened at step {self.open_blocks[-1]}, not {step.target}"
-                )
-            block_path = tuple(self.open_blocks)
-            inner = [i for i in self.order if self.records[i].path == block_path]
-            assumption = self.records[step.target].formula
-            result = Imp(assumption, self.records[inner[-1]].formula)
-            self.open_blocks.pop()
-            self._record(step.index, result, is_assume=False)
-            return
-        self.arity_check(step.formula)
-        handler = self._HANDLERS.get(step.rule)
-        if handler is None:
-            raise _Fail(f"unknown rule {step.rule!r}")
-        handler(self, step)
-        self._record(step.index, step.formula, is_assume=False)
-
-    def _record(self, index: int, formula: Formula, is_assume: bool) -> None:
-        self.records[index] = _Record(formula, tuple(self.open_blocks), is_assume)
-        self.order.append(index)
+        return self.get(step.refs[0]).formula, self.get(step.refs[1]).formula
 
 
 def check_kernel_script(script: KernelScript, signature: Signature,
@@ -645,7 +642,6 @@ def apply_glt(sub: KernelScript, signature: Signature,
     return KernelScript(
         name=f"{sub.name}_collapsed",
         doc=sub.doc,
-        variables=sub.variables,
         defs=sub.defs,
         steps=sub.steps + new_steps,
         conclusion=phi,

@@ -10,6 +10,10 @@ subsumes Con wherever Con is required.
 Free variables of judgment formulas are schematic numerals.  They must be
 declared up front (`eigen`), except for witnesses that m-witness extracts,
 which become usable inside the block where they were obtained.
+
+The block discipline, citation and the script driver are the kernel's
+:class:`~yablo.kernel.BlockChecker`; this module adds the step kinds, the rule
+table and one ``rule_<name>`` method per rule.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from .coding import DiagonalError, fix_intro
-from .kernel import CheckReport, Violation, arity_violation
+from .coding import fix_intro  # noqa: F401  unused, kept bound: bench/tracing.py wraps meta.fix_intro
+from .kernel import BlockChecker, CheckReport, _Fail, arity_violation
 from .scripts import MetaScript, MetaStep
 from .syntax import (
     And,
@@ -50,30 +54,34 @@ GATE_ONECON = "OneCon"
 class RuleInfo:
     name: str
     gate: str
+    judgment: str  # what a step by the rule concludes: "Prv", "NotPrv" or "meta-bot"
     description: str
 
 
+_RULES = {r.name: r for r in (
+    RuleInfo("m-kernel", GATE_NONE, "Prv", "cite a checked derivation"),
+    RuleInfo("m-mp", GATE_NONE, "Prv",
+             "from Prv of an implication and Prv of its antecedent, Prv of the consequent"),
+    RuleInfo("m-inst", GATE_NONE, "Prv",
+             "specialize a schematic variable of a Prv judgment to a term"),
+    RuleInfo("m-refl1", GATE_ONECON, "Prv",
+             "from Prv of a quotation with schematic-numeral ranges, Prv of the quoted instance"),
+    RuleInfo("m-witness", GATE_ONECON, "Prv",
+             "from Prv of a bounded-below existential in the existential fragment, "
+             "a fresh witness with Prv of its instance"),
+    RuleInfo("m-con", GATE_CON, "meta-bot",
+             "Prv of a formula and Prv of its negation is absurd"),
+    RuleInfo("m-g2", GATE_CON, "meta-bot",
+             "Prv of the consistency sentence is absurd"),
+    RuleInfo("lemma", GATE_NONE, "meta-bot",
+             "clash a Prv premise against a checked unprovability result"),
+    RuleInfo("m-raa", GATE_NONE, "NotPrv",
+             "close a refutation block that reached meta-bot as NotPrv of its supposition"),
+)}
+
+
 def list_rules() -> list[RuleInfo]:
-    return [
-        RuleInfo("m-kernel", GATE_NONE,
-                 "cite a checked derivation (or, via the `lemma` form, clash a Prv "
-                 "premise against a checked unprovability result)"),
-        RuleInfo("m-mp", GATE_NONE,
-                 "from Prv of an implication and Prv of its antecedent, Prv of the consequent"),
-        RuleInfo("m-inst", GATE_NONE,
-                 "specialize a schematic variable of a Prv judgment to a term"),
-        RuleInfo("m-refl1", GATE_ONECON,
-                 "from Prv of a quotation with schematic-numeral ranges, Prv of the quoted instance"),
-        RuleInfo("m-witness", GATE_ONECON,
-                 "from Prv of a bounded-below existential in the existential fragment, "
-                 "a fresh witness with Prv of its instance"),
-        RuleInfo("m-con", GATE_CON,
-                 "Prv of a formula and Prv of its negation is absurd"),
-        RuleInfo("m-g2", GATE_CON,
-                 "Prv of the consistency sentence is absurd"),
-        RuleInfo("m-raa", GATE_NONE,
-                 "close a refutation block that reached meta-bot as NotPrv of its supposition"),
-    ]
+    return list(_RULES.values())
 
 
 class ResolveError(KeyError):
@@ -88,51 +96,30 @@ class Resolver(Protocol):
     def meta_result(self, name: str) -> tuple[frozenset[str], str, Formula]: ...
 
 
-class _Fail(Exception):
-    def __init__(self, message: str):
-        self.message = message
-
-
-@dataclass(frozen=True)
-class _Record:
-    judgment: str  # "Prv" | "NotPrv" | "bot"
-    formula: Formula | None
-    path: tuple[int, ...]
-
-
-_GATES = {"m-refl1": GATE_ONECON, "m-witness": GATE_ONECON,
-          "m-con": GATE_CON, "m-g2": GATE_CON}
-
-_BOT_RULES = {"m-con", "m-g2", "lemma"}
-_PRV_RULES = {"m-kernel", "m-mp", "m-inst", "m-refl1", "m-witness"}
-
-
 def _covers(have: frozenset[str], need: str) -> bool:
     if need == GATE_ONECON:
         return GATE_ONECON in have
     return GATE_CON in have or GATE_ONECON in have
 
 
-class _MetaChecker:
+class _MetaChecker(BlockChecker):
+    block = "refutation block"
+
     def __init__(self, script: MetaScript, signature: Signature, resolver: Resolver):
-        self.script = script
-        self.sig = signature
+        super().__init__(script, signature)
+        self.goal = script.conclusion_judgment
         self.resolver = resolver
-        self.records: dict[int, _Record] = {}
-        self.order: list[int] = []
-        self.open_blocks: list[int] = []
-        self.fresh: dict[str, tuple[Formula, tuple[int, ...]]] = {}
+        self.fresh: dict[str, tuple[int, ...]] = {}  # witness name -> block path
+
+    def declare(self) -> None:
+        super().declare()
+        for v in self.script.eigens:
+            try:
+                Var(v)
+            except SyntaxBuildError as e:
+                raise _Fail(f"eigen {v}: {e}") from None
 
     # -- access and well-formedness
-
-    def get(self, ref: int) -> _Record:
-        rec = self.records.get(ref)
-        if rec is None:
-            raise _Fail(f"cites step {ref}, which does not exist")
-        here = tuple(self.open_blocks)
-        if rec.path != here[: len(rec.path)]:
-            raise _Fail(f"cites step {ref}, which sits in a closed block")
-        return rec
 
     def get_prv(self, ref: int) -> Formula:
         rec = self.get(ref)
@@ -141,12 +128,7 @@ class _MetaChecker:
         return rec.formula
 
     def usable_vars(self) -> set[str]:
-        here = tuple(self.open_blocks)
-        out = set(self.script.eigens)
-        for name, (_, path) in self.fresh.items():
-            if path == here[: len(path)]:
-                out.add(name)
-        return out
+        return set(self.script.eigens) | {y for y, path in self.fresh.items() if self.visible(path)}
 
     def wf(self, f: Formula) -> None:
         loose = free_vars(f) - self.usable_vars()
@@ -159,24 +141,17 @@ class _MetaChecker:
         if problem:
             raise _Fail(problem)
 
-    def gate(self, rule: str) -> None:
-        need = _GATES.get(rule)
-        if need and not _covers(self.script.assumptions, need):
-            have = ", ".join(sorted(self.script.assumptions)) or "none"
-            raise _Fail(f"rule {rule} needs the {need} assumption (declared: {have})")
-
     # -- rules
 
-    def rule_m_kernel(self, step: MetaStep) -> Formula:
+    def rule_m_kernel(self, step: MetaStep) -> None:
         try:
             concl = self.resolver.kernel_conclusion(step.name)
         except ResolveError as e:
             raise _Fail(str(e.args[0]) if e.args else f"cannot resolve {step.name}") from None
         if not alpha_eq(step.formula, concl):
             raise _Fail(f"stated formula differs from the conclusion of {step.name}")
-        return step.formula
 
-    def rule_m_mp(self, step: MetaStep) -> Formula:
+    def rule_m_mp(self, step: MetaStep) -> None:
         if len(step.refs) != 2:
             raise _Fail("m-mp cites exactly two steps")
         fi = self.get_prv(step.refs[0])
@@ -187,9 +162,8 @@ class _MetaChecker:
             raise _Fail("second cited judgment does not match the antecedent")
         if not alpha_eq(step.formula, fi.right):
             raise _Fail("stated formula does not match the consequent")
-        return step.formula
 
-    def rule_m_inst(self, step: MetaStep) -> Formula:
+    def rule_m_inst(self, step: MetaStep) -> None:
         if len(step.refs) != 1 or not step.bindings:
             raise _Fail("m-inst cites one step and at least one binding")
         fi = self.get_prv(step.refs[0])
@@ -200,9 +174,8 @@ class _MetaChecker:
         want = substitute_many(fi, dict(step.bindings))
         if not alpha_eq(step.formula, want):
             raise _Fail("stated formula is not the cited judgment under the given bindings")
-        return step.formula
 
-    def rule_m_refl1(self, step: MetaStep) -> Formula:
+    def rule_m_refl1(self, step: MetaStep) -> None:
         if len(step.refs) != 1:
             raise _Fail("m-refl1 cites exactly one step")
         fi = self.get_prv(step.refs[0])
@@ -215,9 +188,8 @@ class _MetaChecker:
         want = apply_box_subst(fi)
         if not alpha_eq(step.formula, want):
             raise _Fail("stated formula is not the quoted instance")
-        return step.formula
 
-    def rule_m_witness(self, step: MetaStep) -> Formula:
+    def rule_m_witness(self, step: MetaStep) -> None:
         if len(step.refs) != 1:
             raise _Fail("m-witness cites exactly one step")
         fi = self.get_prv(step.refs[0])
@@ -234,17 +206,14 @@ class _MetaChecker:
         y = step.var
         if y in self.script.eigens or y in self.fresh:
             raise _Fail(f"witness name {y} is already in use")
-        constraint = Lt(body.left.left, Var(y))
         want = substitute(body.right, fi.var, Var(y))
         if not alpha_eq(step.formula, want):
             raise _Fail(f"stated formula is not the body instance at the witness {y}")
-        self.fresh[y] = (constraint, tuple(self.open_blocks))
-        return step.formula
+        self.fresh[y] = tuple(self.open_blocks)
 
     def rule_m_con(self, step: MetaStep) -> None:
         if len(step.refs) != 2:
             raise _Fail("m-con cites exactly two steps")
-        self.gate("m-con")
         fi = self.get_prv(step.refs[0])
         fj = self.get_prv(step.refs[1])
         clash = (isinstance(fj, Not) and alpha_eq(fj.sub, fi)) or (
@@ -256,7 +225,6 @@ class _MetaChecker:
     def rule_m_g2(self, step: MetaStep) -> None:
         if len(step.refs) != 1:
             raise _Fail("m-g2 cites exactly one step")
-        self.gate("m-g2")
         fi = self.get_prv(step.refs[0])
         if not alpha_eq(fi, PredApp("Con")):
             raise _Fail("cited judgment is not about the consistency sentence")
@@ -282,116 +250,35 @@ class _MetaChecker:
         if not alpha_eq(psi, instance):
             raise _Fail(f"cited Prv does not match the instantiated conclusion of {step.name}")
 
-    # -- driver
-
-    def run(self) -> CheckReport:
-        report = CheckReport(self.script.name, ok=False)
-        for d in self.script.defs:
-            try:
-                fix_intro(self.sig, d.name, d.params, d.body)
-            except (SyntaxBuildError, DiagonalError) as e:
-                report.violations.append(Violation(None, f"definition {d.name}: {e}"))
-                return report
-        for v in self.script.eigens:
-            try:
-                Var(v)
-            except SyntaxBuildError as e:
-                report.violations.append(Violation(None, f"eigen {v}: {e}"))
-                return report
-        last_index = 0
-        for step in self.script.steps:
-            try:
-                if step.index <= last_index:
-                    raise _Fail(f"step numbers must increase (previous was {last_index})")
-                last_index = step.index
-                self._check_step(step)
-            except _Fail as e:
-                report.violations.append(Violation(step.index, e.message))
-                return report
-            report.steps_checked += 1
-        if self.open_blocks:
-            report.violations.append(
-                Violation(None, f"refutation block opened at step {self.open_blocks[-1]} is never closed")
-            )
-            return report
-        if not self.order:
-            report.violations.append(Violation(None, "script has no steps"))
-            return report
-        last = self.records[self.order[-1]]
-        want = (self.script.conclusion_judgment, self.script.conclusion)
-        if last.judgment != want[0] or not alpha_eq(last.formula, want[1]):
-            report.violations.append(
-                Violation(self.order[-1], "final step does not establish the stated conclusion")
-            )
-            return report
-        report.ok = True
-        report.conclusion = self.script.conclusion
-        return report
+    def rule_m_raa(self, step: MetaStep) -> None:
+        if len(step.refs) != 1:
+            raise _Fail("m-raa cites the suppose step it closes")
+        target = step.refs[0]
+        if self.close_block(target).judgment != "meta-bot":
+            raise _Fail("the refutation block has not reached meta-bot")
+        if not alpha_eq(step.formula, self.records[target].formula):
+            raise _Fail("stated formula differs from the supposition being refuted")
 
     def _check_step(self, step: MetaStep) -> None:
         if step.kind == "suppose":
             self.wf(step.formula)
             self.open_blocks.append(step.index)
-            self._record(step.index, "Prv", step.formula)
+            self._record(step.index, step.formula, "Prv")
             return
-        if step.kind == "bot":
-            if step.rule not in _BOT_RULES:
-                raise _Fail(f"rule {step.rule} does not conclude meta-bot")
-            if step.rule == "m-con":
-                self.rule_m_con(step)
-            elif step.rule == "m-g2":
-                self.rule_m_g2(step)
-            else:
-                self.rule_lemma(step)
-            self._record(step.index, "bot", None)
-            return
-        # judge
-        if step.rule == "m-raa":
-            self._raa(step)
-            return
-        if step.rule not in _PRV_RULES:
-            raise _Fail(f"rule {step.rule} does not conclude a Prv judgment")
-        if step.judgment != "Prv":
-            raise _Fail(f"rule {step.rule} concludes Prv, not {step.judgment}")
-        self.gate(step.rule)
-        handler = {
-            "m-kernel": self.rule_m_kernel,
-            "m-mp": self.rule_m_mp,
-            "m-inst": self.rule_m_inst,
-            "m-refl1": self.rule_m_refl1,
-            "m-witness": self.rule_m_witness,
-        }[step.rule]
-        handler(step)
-        # after the handler: m-witness registers its fresh name first, and the
-        # stated formula must be schematic in what is usable from here on
-        self.wf(step.formula)
-        self._record(step.index, "Prv", step.formula)
-
-    def _raa(self, step: MetaStep) -> None:
-        if step.judgment != "NotPrv":
-            raise _Fail("m-raa concludes a NotPrv judgment")
-        if len(step.refs) != 1:
-            raise _Fail("m-raa cites the suppose step it closes")
-        if not self.open_blocks:
-            raise _Fail("no refutation block is open")
-        target = step.refs[0]
-        if target != self.open_blocks[-1]:
-            raise _Fail(
-                f"block to close is the one opened at step {self.open_blocks[-1]}, not {target}"
-            )
-        block_path = tuple(self.open_blocks)
-        inner = [i for i in self.order if self.records[i].path == block_path]
-        if not inner or self.records[inner[-1]].judgment != "bot":
-            raise _Fail("the refutation block has not reached meta-bot")
-        supposed = self.records[target].formula
-        if not alpha_eq(step.formula, supposed):
-            raise _Fail("stated formula differs from the supposition being refuted")
-        self.open_blocks.pop()
-        self._record(step.index, "NotPrv", step.formula)
-
-    def _record(self, index: int, judgment: str, formula: Formula | None) -> None:
-        self.records[index] = _Record(judgment, formula, tuple(self.open_blocks))
-        self.order.append(index)
+        handle = self.handler(step.rule)
+        rule = _RULES[step.rule]
+        claimed = step.judgment if step.kind == "judge" else "meta-bot"
+        if claimed != rule.judgment:
+            raise _Fail(f"rule {step.rule} does not conclude {claimed}; it concludes {rule.judgment}")
+        if rule.gate and not _covers(self.script.assumptions, rule.gate):
+            have = ", ".join(sorted(self.script.assumptions)) or "none"
+            raise _Fail(f"rule {step.rule} needs the {rule.gate} assumption (declared: {have})")
+        handle(step)
+        if step.kind == "judge":
+            # after the handler: m-witness registers its fresh name first, and the
+            # stated formula must be schematic in what is usable from here on
+            self.wf(step.formula)
+        self._record(step.index, step.formula, claimed)
 
 
 def check_meta_script(script: MetaScript, signature: Signature, resolver: Resolver) -> CheckReport:

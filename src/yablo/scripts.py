@@ -5,7 +5,6 @@ derivations, `meta-theorem` files carry provability/unprovability reasoning
 about them.  Lines are one of
 
     theorem NAME "headline"            (or meta-theorem)
-    var x, y                           optional variable declarations
     def Name(p, q) := BODY             fixed-point definition, `self` recurs
     assume-meta Con, OneCon            meta only: reflection strength used
     eigen k, a, b                      meta only: schematic number variables
@@ -19,7 +18,12 @@ about them.  Lines are one of
 
 `#` starts a comment line.  Parsing is deliberately permissive about step
 numbers and rule arity so that a damaged script still parses and the checker
-can point at the offending step.
+can point at the offending step.  Free variables need no declaration in
+kernel scripts: they are schematic.
+
+Each script kind has one table of its rules' argument shapes
+(`KERNEL_RULES`, `META_RULES`); its checker has a `rule_<name>` method for
+every entry.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ class KernelStep:
 class KernelScript:
     name: str
     doc: str
-    variables: tuple[str, ...]
     defs: tuple[Definition, ...]
     steps: tuple[KernelStep, ...]
     conclusion: Formula
@@ -96,14 +99,38 @@ class MetaScript:
     kind = "meta"
 
 
-_ZERO_ARG_RULES = {"numeval", "gd2", "gd3", "lob", "con-def"}
-_NAME_ARG_RULES = {"arith", "unfold", "fold"}
-_INDEX_RULES = {
-    "taut", "mp", "andI", "andE1", "andE2", "orI1", "orI2", "orE",
-    "negI", "negE", "allI", "gd1", "reiterate",
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+
+# argument shape, written as its usage -> pattern whose named groups fill the
+# step fields of the same name
+_SHAPES = {
+    "": r"",
+    "N, ...": r"(?P<refs>.*)",
+    "NAME": rf"(?P<name>{_IDENT})",
+    "N with TERM": r"(?P<refs>\d+)\s+with\s+(?P<term>.+)",
+    "N, M with y": rf"(?P<refs>\d+\s*,\s*\d+)\s+with\s+(?P<var>{_IDENT})",
+    "N with y": rf"(?P<refs>\d+)\s+with\s+(?P<var>{_IDENT})",
+    "N with v := t": r"(?P<refs>\d+)\s+with\s+(?P<bindings>.+)",
+    "NAME, N [with v := t, ...]":
+        rf"(?P<name>{_IDENT})\s*,\s*(?P<refs>\d+)(?:\s+with\s+(?P<bindings>.+))?",
 }
 
-_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+# rule name -> argument shape, one table per script kind
+KERNEL_RULES = {
+    **dict.fromkeys(["taut", "mp", "andI", "andE1", "andE2", "orI1", "orI2", "orE",
+                     "negI", "negE", "allI", "gd1", "reiterate"], "N, ..."),
+    **dict.fromkeys(["numeval", "gd2", "gd3", "lob", "con-def"], ""),
+    **dict.fromkeys(["arith", "unfold", "fold"], "NAME"),
+    **dict.fromkeys(["allE", "exI"], "N with TERM"),
+    "exE": "N, M with y",
+}
+META_RULES = {
+    "m-kernel": "NAME",
+    **dict.fromkeys(["m-mp", "m-con", "m-refl1", "m-g2", "m-raa"], "N, ..."),
+    "m-inst": "N with v := t",
+    "m-witness": "N with y",
+    "lemma": "NAME, N [with v := t, ...]",
+}
 
 
 def _parse_indices(text: str, line: int) -> tuple[int, ...]:
@@ -143,6 +170,9 @@ def _bindings(text: str, line: int) -> tuple[tuple[str, Term], ...]:
     return tuple(out)
 
 
+_ARG_PARSERS = {"refs": _parse_indices, "term": _term, "bindings": _bindings}
+
+
 def _split_justification(rest: str, line: int) -> tuple[str, str]:
     cut = rest.rfind(" by ")
     if cut < 0:
@@ -150,68 +180,23 @@ def _split_justification(rest: str, line: int) -> tuple[str, str]:
     return rest[:cut].strip(), rest[cut + 4 :].strip()
 
 
-def _parse_kernel_rule(justif: str, line: int) -> KernelStep:
+def _parse_rule(justif: str, rules: dict[str, str], noun: str, line: int) -> dict:
+    """The rule and argument fields of a `RULE ARGS` justification."""
     parts = justif.split(None, 1)
     rule = parts[0]
     args = parts[1].strip() if len(parts) > 1 else ""
-    if rule in _INDEX_RULES:
-        return KernelStep(0, "derive", rule=rule, refs=_parse_indices(args, line))
-    if rule in _ZERO_ARG_RULES:
-        if args:
-            raise ScriptError(f"rule {rule} takes no arguments", line)
-        return KernelStep(0, "derive", rule=rule)
-    if rule in _NAME_ARG_RULES:
-        if not re.fullmatch(_IDENT, args):
-            raise ScriptError(f"rule {rule} needs one name argument", line)
-        return KernelStep(0, "derive", rule=rule, name=args)
-    if rule in ("allE", "exI"):
-        m = re.match(r"^(\d+)\s+with\s+(.+)$", args)
-        if not m:
-            raise ScriptError(f"rule {rule} is used as `{rule} N with TERM`", line)
-        return KernelStep(0, "derive", rule=rule, refs=(int(m.group(1)),),
-                          term=_term(m.group(2), line))
-    if rule == "exE":
-        m = re.match(rf"^(\d+)\s*,\s*(\d+)\s+with\s+({_IDENT})$", args)
-        if not m:
-            raise ScriptError("rule exE is used as `exE N, M with y`", line)
-        return KernelStep(0, "derive", rule=rule,
-                          refs=(int(m.group(1)), int(m.group(2))), var=m.group(3))
-    raise ScriptError(f"unknown rule {rule!r}", line)
-
-
-def _parse_meta_rule(justif: str, line: int) -> MetaStep:
-    parts = justif.split(None, 1)
-    rule = parts[0]
-    args = parts[1].strip() if len(parts) > 1 else ""
-    if rule == "m-kernel":
-        if not re.fullmatch(_IDENT, args):
-            raise ScriptError("m-kernel cites one script name", line)
-        return MetaStep(0, "judge", rule=rule, name=args)
-    if rule in ("m-mp", "m-con"):
-        refs = _parse_indices(args, line)
-        return MetaStep(0, "judge", rule=rule, refs=refs)
-    if rule in ("m-refl1", "m-g2", "m-raa"):
-        refs = _parse_indices(args, line)
-        return MetaStep(0, "judge", rule=rule, refs=refs)
-    if rule == "m-inst":
-        m = re.match(r"^(\d+)\s+with\s+(.+)$", args)
-        if not m:
-            raise ScriptError("m-inst is used as `m-inst N with v := t`", line)
-        return MetaStep(0, "judge", rule=rule, refs=(int(m.group(1)),),
-                        bindings=_bindings(m.group(2), line))
-    if rule == "m-witness":
-        m = re.match(rf"^(\d+)\s+with\s+({_IDENT})$", args)
-        if not m:
-            raise ScriptError("m-witness is used as `m-witness N with y`", line)
-        return MetaStep(0, "judge", rule=rule, refs=(int(m.group(1)),), var=m.group(2))
-    if rule == "lemma":
-        m = re.match(rf"^({_IDENT})\s*,\s*(\d+)(?:\s+with\s+(.+))?$", args)
-        if not m:
-            raise ScriptError("lemma is used as `lemma NAME, N [with v := t, ...]`", line)
-        binds = _bindings(m.group(3), line) if m.group(3) else ()
-        return MetaStep(0, "judge", rule=rule, name=m.group(1),
-                        refs=(int(m.group(2)),), bindings=binds)
-    raise ScriptError(f"unknown meta rule {rule!r}", line)
+    usage = rules.get(rule)
+    if usage is None:
+        raise ScriptError(f"unknown {noun} {rule!r}", line)
+    m = re.fullmatch(_SHAPES[usage], args)
+    if not m:
+        written = f"{rule} {usage}".rstrip()
+        raise ScriptError(f"rule {rule} is used as `{written}`", line)
+    fields = {"rule": rule}
+    for key, text in m.groupdict().items():
+        if text is not None:
+            fields[key] = _ARG_PARSERS[key](text, line) if key in _ARG_PARSERS else text
+    return fields
 
 
 def _iter_lines(text: str):
@@ -246,123 +231,98 @@ def parse_definition(text: str) -> Definition:
     return _parse_def(t, 1)
 
 
-def parse_kernel_script(text: str) -> KernelScript:
-    name = doc = None
-    variables: tuple[str, ...] = ()
+def _parse_lines(text: str, header: str, step, conclusion, other=None):
+    """The line loop both script kinds share: header, `def`, numbered steps
+    and the conclusion.  `step(index, rest, lineno)` parses the text after
+    `N.`, `conclusion(text, lineno)` the text after `conclusion`, and
+    `other(line, lineno)` consumes a kind-specific line, returning False for
+    one it does not recognize."""
+    name = doc = concl = None
     defs: list[Definition] = []
-    steps: list[KernelStep] = []
-    conclusion: Formula | None = None
+    steps: list = []
     for lineno, line in _iter_lines(text):
-        if conclusion is not None:
+        if concl is not None:
             raise ScriptError("content after the conclusion line", lineno)
-        m = re.match(rf'^theorem\s+({_IDENT})\s+"(.*)"\s*$', line)
+        m = re.match(rf'^{header}\s+({_IDENT})\s+"(.*)"\s*$', line)
         if m:
             if name is not None:
-                raise ScriptError("duplicate theorem header", lineno)
+                raise ScriptError(f"duplicate {header} header", lineno)
             name, doc = m.group(1), m.group(2)
-            continue
-        if name is None:
-            raise ScriptError("expected a `theorem NAME \"...\"` header first", lineno)
-        if line.startswith("var "):
-            variables += _parse_names(line[4:], lineno)
-            continue
-        if line.startswith("def "):
+        elif name is None:
+            raise ScriptError(f"expected a `{header} NAME \"...\"` header first", lineno)
+        elif line.startswith("def "):
             defs.append(_parse_def(line, lineno))
-            continue
-        if line.startswith("conclusion "):
-            conclusion = _formula(line[len("conclusion ") :], lineno)
-            continue
-        m = re.match(r"^(\d+)\.\s+(.*)$", line)
-        if not m:
+        elif line.startswith("conclusion "):
+            concl = conclusion(line[len("conclusion ") :].strip(), lineno)
+        elif m := re.match(r"^(\d+)\.\s+(.*)$", line):
+            steps.append(step(int(m.group(1)), m.group(2), lineno))
+        elif not (other and other(line, lineno)):
             raise ScriptError(f"unrecognized line {line!r}", lineno)
-        index, rest = int(m.group(1)), m.group(2)
-        if rest.startswith("assume "):
-            steps.append(KernelStep(index, "assume", formula=_formula(rest[7:], lineno)))
-            continue
-        qm = re.match(r"^qed-block\s+(\d+)\s*$", rest)
-        if qm:
-            steps.append(KernelStep(index, "qed", target=int(qm.group(1))))
-            continue
-        ftext, justif = _split_justification(rest, lineno)
-        proto = _parse_kernel_rule(justif, lineno)
-        steps.append(
-            KernelStep(index, "derive", formula=_formula(ftext, lineno), rule=proto.rule,
-                       refs=proto.refs, term=proto.term, var=proto.var, name=proto.name)
-        )
     if name is None:
         raise ScriptError("empty script", 1)
-    if conclusion is None:
+    if concl is None:
         raise ScriptError("script has no conclusion line", 1)
-    return KernelScript(name, doc or "", variables, tuple(defs), tuple(steps), conclusion)
+    return name, doc, tuple(defs), tuple(steps), concl
+
+
+def _kernel_step(index: int, rest: str, lineno: int) -> KernelStep:
+    if rest.startswith("assume "):
+        return KernelStep(index, "assume", formula=_formula(rest[7:], lineno))
+    qm = re.match(r"^qed-block\s+(\d+)\s*$", rest)
+    if qm:
+        return KernelStep(index, "qed", target=int(qm.group(1)))
+    ftext, justif = _split_justification(rest, lineno)
+    fields = _parse_rule(justif, KERNEL_RULES, "rule", lineno)
+    return KernelStep(index, "derive", formula=_formula(ftext, lineno), **fields)
+
+
+def parse_kernel_script(text: str) -> KernelScript:
+    return KernelScript(*_parse_lines(text, "theorem", _kernel_step, _formula))
+
+
+def _meta_step(index: int, rest: str, lineno: int) -> MetaStep:
+    sm = re.match(r"^suppose\s+Prv:\s*(.+)$", rest)
+    if sm:
+        return MetaStep(index, "suppose", judgment="Prv", formula=_formula(sm.group(1), lineno))
+    bm = re.match(r"^meta-bot\s+by\s+(.+)$", rest)
+    if bm:
+        return MetaStep(index, "bot", **_parse_rule(bm.group(1), META_RULES, "meta rule", lineno))
+    jm = re.match(r"^(Prv|NotPrv):\s*(.+)$", rest)
+    if jm:
+        ftext, justif = _split_justification(jm.group(2), lineno)
+        fields = _parse_rule(justif, META_RULES, "meta rule", lineno)
+        return MetaStep(index, "judge", judgment=jm.group(1),
+                        formula=_formula(ftext, lineno), **fields)
+    raise ScriptError(f"unrecognized step form {rest!r}", lineno)
+
+
+def _meta_conclusion(text: str, lineno: int) -> tuple[str, Formula]:
+    m = re.match(r"^(Prv|NotPrv):\s*(.+)$", text)
+    if not m:
+        raise ScriptError("conclusion is written `conclusion Prv: F` or `conclusion NotPrv: F`", lineno)
+    return m.group(1), _formula(m.group(2), lineno)
 
 
 def parse_meta_script(text: str) -> MetaScript:
-    name = doc = None
     assumptions: set[str] = set()
-    eigens: tuple[str, ...] = ()
-    defs: list[Definition] = []
-    steps: list[MetaStep] = []
-    conclusion = None
-    conclusion_judgment = None
-    for lineno, line in _iter_lines(text):
-        if conclusion is not None:
-            raise ScriptError("content after the conclusion line", lineno)
-        m = re.match(rf'^meta-theorem\s+({_IDENT})\s+"(.*)"\s*$', line)
-        if m:
-            if name is not None:
-                raise ScriptError("duplicate meta-theorem header", lineno)
-            name, doc = m.group(1), m.group(2)
-            continue
-        if name is None:
-            raise ScriptError("expected a `meta-theorem NAME \"...\"` header first", lineno)
+    eigens: list[str] = []
+
+    def other(line: str, lineno: int) -> bool:
         if line.startswith("assume-meta "):
             for a in _parse_names(line[len("assume-meta ") :], lineno):
                 if a not in ("Con", "OneCon"):
                     raise ScriptError(f"unknown meta assumption {a!r}", lineno)
                 assumptions.add(a)
-            continue
-        if line.startswith("eigen "):
-            eigens += _parse_names(line[6:], lineno)
-            continue
-        if line.startswith("def "):
-            defs.append(_parse_def(line, lineno))
-            continue
-        cm = re.match(r"^conclusion\s+(Prv|NotPrv):\s*(.+)$", line)
-        if cm:
-            conclusion_judgment = cm.group(1)
-            conclusion = _formula(cm.group(2), lineno)
-            continue
-        m = re.match(r"^(\d+)\.\s+(.*)$", line)
-        if not m:
-            raise ScriptError(f"unrecognized line {line!r}", lineno)
-        index, rest = int(m.group(1)), m.group(2)
-        sm = re.match(r"^suppose\s+Prv:\s*(.+)$", rest)
-        if sm:
-            steps.append(MetaStep(index, "suppose", judgment="Prv",
-                                  formula=_formula(sm.group(1), lineno)))
-            continue
-        bm = re.match(r"^meta-bot\s+by\s+(.+)$", rest)
-        if bm:
-            proto = _parse_meta_rule(bm.group(1), lineno)
-            steps.append(MetaStep(index, "bot", rule=proto.rule, refs=proto.refs,
-                                  name=proto.name, bindings=proto.bindings, var=proto.var))
-            continue
-        jm = re.match(r"^(Prv|NotPrv):\s*(.+)$", rest)
-        if jm:
-            ftext, justif = _split_justification(jm.group(2), lineno)
-            proto = _parse_meta_rule(justif, lineno)
-            steps.append(MetaStep(index, "judge", judgment=jm.group(1),
-                                  formula=_formula(ftext, lineno), rule=proto.rule,
-                                  refs=proto.refs, name=proto.name,
-                                  bindings=proto.bindings, var=proto.var))
-            continue
-        raise ScriptError(f"unrecognized step form {rest!r}", lineno)
-    if name is None:
-        raise ScriptError("empty script", 1)
-    if conclusion is None or conclusion_judgment is None:
-        raise ScriptError("script has no conclusion line", 1)
-    return MetaScript(name, doc or "", frozenset(assumptions), eigens, tuple(defs),
-                      tuple(steps), conclusion_judgment, conclusion)
+        elif line.startswith("eigen "):
+            eigens.extend(_parse_names(line[6:], lineno))
+        else:
+            return False
+        return True
+
+    name, doc, defs, steps, (judgment, concl) = _parse_lines(
+        text, "meta-theorem", _meta_step, _meta_conclusion, other)
+    return MetaScript(name, doc, frozenset(assumptions), tuple(eigens), defs, steps,
+                      judgment, concl)
 
 
 def parse_script(text: str) -> KernelScript | MetaScript:

@@ -5,9 +5,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from yablo.corpus import Registry
+from mutate import all_mutants
+from yablo.corpus import KERNEL_ORDER, Registry
+from yablo.kernel import CheckReport, check_kernel_script
+from yablo.syntax import base_signature
 
 
 @pytest.fixture(scope="session")
 def registry() -> Registry:
     return Registry()
+
+
+@pytest.fixture(scope="session")
+def mutant_reports(registry) -> list[tuple[str, CheckReport]]:
+    """Every single-step mutant of the bundled kernel scripts, checked once."""
+    return [(label, check_kernel_script(mutant, base_signature(), registry.axioms))
+            for name in KERNEL_ORDER
+            for label, mutant in all_mutants(registry.script(name))]

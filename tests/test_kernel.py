@@ -3,6 +3,7 @@ from importlib import resources
 import pytest
 
 from yablo.kernel import (
+    _KernelChecker,
     apply_glt,
     arity_violation,
     check_kernel_script,
@@ -11,7 +12,7 @@ from yablo.kernel import (
     taut_consequence,
 )
 from yablo.parser import parse_formula, parse_term
-from yablo.scripts import ScriptError, load_axioms, parse_kernel_script
+from yablo.scripts import KERNEL_RULES, ScriptError, load_axioms, parse_kernel_script
 from yablo.syntax import Var, alpha_eq, base_signature
 
 AXIOMS = load_axioms((resources.files("yablo") / "corpus" / "arith.axioms").read_text())
@@ -21,8 +22,8 @@ def f(text: str):
     return parse_formula(text)
 
 
-def run(body: str, conclusion: str, defs: str = "", var: str = "k"):
-    text = f'theorem t_inline "inline"\nvar {var}\n{defs}{body}\nconclusion {conclusion}\n'
+def run(body: str, conclusion: str, defs: str = ""):
+    text = f'theorem t_inline "inline"\n{defs}{body}\nconclusion {conclusion}\n'
     script = parse_kernel_script(text)
     sig = base_signature()
     sig.declare("P", 0)
@@ -239,6 +240,17 @@ class TestQuantifierRules:
         )
         rejected_at(run(body, "P | ~P"), 6, "not fresh")
 
+    def test_exE_reserved_witness_name(self):
+        body = (
+            "1. k < k + 1 by arith lt_plus_one\n"
+            "2. exists x. k < x by exI 1 with k + 1\n"
+            "3. assume k < u\n"
+            "4. P | ~P by taut\n"
+            "5. qed-block 3\n"
+            "6. P | ~P by exE 2, 5 with bot\n"
+        )
+        rejected_at(run(body, "P | ~P"), 6, "bad variable name 'bot'")
+
 
 class TestArithmeticRules:
     def test_unknown_axiom_name(self):
@@ -341,6 +353,14 @@ class TestQuotationRules:
 
 
 class TestScriptParsing:
+    def test_rule_table_matches_checker_handlers(self):
+        handlers = {n[len("rule_"):] for n in dir(_KernelChecker) if n.startswith("rule_")}
+        assert {rule.replace("-", "_") for rule in KERNEL_RULES} == handlers
+
+    def test_var_declarations_are_not_accepted(self):
+        with pytest.raises(ScriptError, match="unrecognized line"):
+            parse_kernel_script('theorem t "x"\nvar k\n1. 0 = 0 by numeval\nconclusion 0 = 0\n')
+
     def test_unknown_rule_rejected_at_parse(self):
         with pytest.raises(ScriptError, match="unknown rule"):
             parse_kernel_script('theorem t "x"\n1. P by hocus 1\nconclusion P\n')

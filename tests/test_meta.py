@@ -1,8 +1,8 @@
 import pytest
 
-from yablo.meta import ResolveError, check_meta_script, list_rules
+from yablo.meta import ResolveError, _MetaChecker, check_meta_script, list_rules
 from yablo.parser import parse_formula
-from yablo.scripts import ScriptError, parse_meta_script, parse_script
+from yablo.scripts import META_RULES, ScriptError, parse_meta_script, parse_script
 from yablo.syntax import base_signature
 
 
@@ -192,6 +192,14 @@ class TestWitnessExtraction:
                         assume="OneCon", resolver=resolver),
                     7, "witnesses usable here")
 
+    def test_reserved_witness_name(self):
+        body = (
+            f"1. suppose Prv: {EXISTS_BODY}\n"
+            "2. Prv: k < k by m-witness 1 with self\n"
+        )
+        rejected_at(run(body, f"NotPrv: {EXISTS_BODY}", assume="OneCon"),
+                    2, "bad variable name 'self'")
+
     def test_cited_judgment_must_be_existential(self):
         body = (
             "1. suppose Prv: k < k\n"
@@ -337,6 +345,11 @@ class TestParsing:
         assert kernel.kind == "kernel"
         with pytest.raises(ScriptError):
             parse_script("definitely not a script\n")
+
+    def test_rule_tables_match_checker_handlers(self):
+        handlers = {n[len("rule_"):] for n in dir(_MetaChecker) if n.startswith("rule_")}
+        assert {rule.replace("-", "_") for rule in META_RULES} == handlers
+        assert {r.name for r in list_rules()} == set(META_RULES)
 
     def test_unknown_meta_rule(self):
         with pytest.raises(ScriptError, match="unknown meta rule"):
