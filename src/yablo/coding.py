@@ -12,6 +12,11 @@ malformed payloads, reserved binder names, and quotation substitutions that
 miss or exceed the template's free variables all raise NotACode.  It is not
 injective (a successor wrapped around a tower decodes fine but re-encodes
 compactly), which is harmless for a left inverse.
+
+A fixed point's trace of codes is built on first read and then cached on its
+DiagonalResult.  Codes double in bit length with each quotation level, and
+checking a script needs only the biconditional, so nothing on the checking
+path ever builds one; replay_trace and `yablo code diag` do.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     And,
@@ -77,7 +83,9 @@ def pair(a: int, b: int) -> int:
     """Cantor pairing shifted by one: the image is exactly the positives."""
     if a < 0 or b < 0:
         raise ValueError("pair is defined on naturals")
-    return (a + b) * (a + b + 1) // 2 + b + 1
+    s = a + b
+    # squaring is cheaper than a general product on multi-megabit operands
+    return (s * s + s >> 1) + b + 1
 
 
 def unpair(p: int) -> tuple[int, int]:
@@ -345,8 +353,9 @@ class DiagonalResult:
 
     fixed_point is the defined atom (or the template itself when the template
     never mentions the hole).  biconditional is the definitional equivalence.
-    trace is a replayable list of (label, code) checkpoints tying the
-    construction to the numeric coding.
+    trace is a replayable tuple of (label, code) checkpoints tying the
+    construction to the numeric coding; it is built on first read and then
+    cached on this result.
     """
 
     hole: str
@@ -354,7 +363,11 @@ class DiagonalResult:
     template: Formula
     fixed_point: Formula
     biconditional: Formula
-    trace: tuple[tuple[str, int], ...]
+
+    @cached_property
+    def trace(self) -> tuple[tuple[str, int], ...]:
+        return _build_trace(self.template, self.hole, self.params,
+                            self.biconditional, self.fixed_point)
 
 
 def _hole_positions(f: Formula, hole: str, under_box: bool, out: list[bool]) -> None:
@@ -376,12 +389,12 @@ def _hole_positions(f: Formula, hole: str, under_box: bool, out: list[bool]) -> 
 
 def _build_trace(template: Formula, hole: str, params: tuple[str, ...],
                  bicond: Formula, fixed_point: Formula) -> tuple[tuple[str, int], ...]:
+    tcode = encode(template)
     entries: list[tuple[str, int]] = [
-        ("template", encode(template)),
+        ("template", tcode),
         ("name", name_code(hole)),
         ("biconditional", encode(bicond)),
     ]
-    tcode = encode(template)
     for p in params:
         entries.append((f"probe {p}:=0", sub_code(tcode, p, 0)))
     entries.append(("fixed-point", encode(fixed_point)))
@@ -412,7 +425,6 @@ def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> Diagon
         template=template,
         fixed_point=fixed_point,
         biconditional=bicond,
-        trace=_build_trace(template, hole, params, bicond, fixed_point),
     )
 
 
@@ -421,6 +433,8 @@ def replay_trace(result: DiagonalResult) -> bool:
 
     Raises DiagonalError on the first mismatch; substitution probes are
     checked both at the code level and through decode/substitute/encode.
+    The trace rebuilt here is never cached, so the comparison is against
+    codes computed afresh, whether or not result.trace was read before.
     """
     expected = _build_trace(result.template, result.hole, result.params,
                             result.biconditional, result.fixed_point)
@@ -429,7 +443,7 @@ def replay_trace(result: DiagonalResult) -> bool:
     for (lbl_e, code_e), (lbl_g, code_g) in zip(expected, result.trace):
         if lbl_e != lbl_g or code_e != code_g:
             raise DiagonalError(f"trace entry {lbl_g!r} does not replay")
-    tcode = encode(result.template)
+    tcode = expected[0][1]  # the template's code, freshly rebuilt
     if decode(tcode) != result.template:
         raise DiagonalError("template code does not decode back")
     for p in result.params:
@@ -471,9 +485,9 @@ def fix_intro(signature, name: str, params: tuple[str, ...], body_with_self: For
     """Install name as the fixed point of a template written with `self`.
 
     The template's `self` applications become applications of name, the
-    diagonal construction produces the definitional biconditional and its
-    trace, and the definition is registered so proof scripts can unfold and
-    fold it.
+    diagonal construction produces the definitional biconditional (and, when
+    read, its trace), and the definition is registered so proof scripts can
+    unfold and fold it.
     """
     body = pred_rename(body_with_self, "self", name)
     result = diagonalize(body, name, params)

@@ -138,7 +138,12 @@ def _collect_atoms(f: Formula, order: list, index: dict) -> None:
 def taut_consequence(premises: list[Formula], goal: Formula) -> tuple[bool, dict | None]:
     """Truth-table check that goal follows from premises treating every
     non-connective subformula as an opaque atom.  Returns (True, None) or
-    (False, countervaluation keyed by printed atom)."""
+    (False, countervaluation keyed by printed atom).
+
+    The table is evaluated bit-parallel: row r assigns atom i the truth value
+    (r >> i) & 1, atom i's column is the integer whose bit r is that value,
+    and the formula is evaluated once on whole columns.  The countervaluation
+    is the lowest falsifying row."""
     form: Formula = goal
     for p in reversed(premises):
         form = Imp(p, form)
@@ -147,27 +152,37 @@ def taut_consequence(premises: list[Formula], goal: Formula) -> tuple[bool, dict
     _collect_atoms(form, order, index)
     if len(order) > MAX_TAUT_ATOMS:
         raise _Fail(f"too many distinct atoms for a truth-table check ({len(order)})")
+    rows = 1 << len(order)
+    full = (1 << rows) - 1
+    columns = []
+    for i in range(len(order)):
+        width = 2 << i
+        col = ((1 << (1 << i)) - 1) << (1 << i)  # 2**i false rows, then 2**i true rows
+        while width < rows:
+            col |= col << width
+            width *= 2
+        columns.append(col)
 
-    def ev(g: Formula, bits: int) -> bool:
+    def ev(g: Formula) -> int:
         match g:
             case Falsum():
-                return False
+                return 0
             case Not(s):
-                return not ev(s, bits)
+                return ev(s) ^ full
             case Imp(l, r):
-                return (not ev(l, bits)) or ev(r, bits)
+                return (ev(l) ^ full) | ev(r)
             case And(l, r):
-                return ev(l, bits) and ev(r, bits)
+                return ev(l) & ev(r)
             case Or(l, r):
-                return ev(l, bits) or ev(r, bits)
+                return ev(l) | ev(r)
             case _:
-                return bool(bits >> index[canonical(g)] & 1)
+                return columns[index[canonical(g)]]
 
-    for bits in range(1 << len(order)):
-        if not ev(form, bits):
-            witness = {print_formula(a): bool(bits >> i & 1) for i, a in enumerate(order)}
-            return False, witness
-    return True, None
+    falsifying = ev(form) ^ full
+    if not falsifying:
+        return True, None
+    row = (falsifying & -falsifying).bit_length() - 1
+    return False, {print_formula(a): bool(row >> i & 1) for i, a in enumerate(order)}
 
 
 def match_schema(pattern: Formula, instance: Formula) -> dict[str, Term] | None:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,20 @@ class TestCheckCommand:
         assert payload["kind"] == "kernel"
         assert payload["ok"] is True
         assert payload["violations"] == []
+
+    def test_deeply_nested_definition_checks_quickly(self, tmp_path, capsys):
+        # each negation under the quotation doubles the bit length of the
+        # definition's trace codes, which checking never builds
+        body = f"all x. (k < x) -> Prov[ {'~' * 18}D(x) ; x := x ]"
+        path = tmp_path / "deep.prf"
+        path.write_text(f'theorem deep "self under 18 negations"\n'
+                        f"def D(k) := all x. (k < x) -> Prov[ {'~' * 18}self(x) ; x := x ]\n"
+                        f"1. D(k) -> ({body}) by unfold D\n"
+                        f"conclusion D(k) -> ({body})\n")
+        start = time.perf_counter()
+        assert run_cli("check", str(path)) == 0
+        assert time.perf_counter() - start < 10
+        assert "ok: deep" in capsys.readouterr().out
 
 
 class TestProveAllCommand:

@@ -211,6 +211,13 @@ def judged_template() -> tuple:
     return template, "H", ("k",)
 
 
+def with_trace(result: DiagonalResult, trace: tuple) -> DiagonalResult:
+    """A copy of result whose cached trace is the given one."""
+    copy = dataclasses.replace(result)
+    copy.__dict__["trace"] = trace  # what reading the cached property stores
+    return copy
+
+
 class TestDiagonalization:
     def test_fixed_point_is_the_named_atom(self):
         template, hole, params = judged_template()
@@ -242,7 +249,7 @@ class TestDiagonalization:
         broken = list(result.trace)
         label, code = broken[0]
         broken[0] = (label, code + 1)
-        tampered = dataclasses.replace(result, trace=tuple(broken))
+        tampered = with_trace(result, tuple(broken))
         with pytest.raises(DiagonalError):
             replay_trace(tampered)
 
@@ -252,7 +259,7 @@ class TestDiagonalization:
         broken = list(result.trace)
         broken[1] = ("renamed", broken[1][1])
         with pytest.raises(DiagonalError):
-            replay_trace(dataclasses.replace(result, trace=tuple(broken)))
+            replay_trace(with_trace(result, tuple(broken)))
 
     def test_fix_intro_registers_definition(self):
         sig = base_signature()

@@ -2,12 +2,14 @@ from importlib import resources
 
 import pytest
 
-from yablo.coding import code_from_str, encode
+from yablo import coding
+from yablo.coding import code_from_str, encode, fix_intro, replay_trace
 from yablo.corpus import (
     KERNEL_ORDER,
     META_ORDER,
     MONO_BOUND,
     CorpusError,
+    Registry,
     definitions_used,
     golden_codes,
     lob_step_formulas,
@@ -17,7 +19,7 @@ from yablo.corpus import (
 from yablo.meta import ResolveError
 from yablo.parser import parse_formula
 from yablo.scripts import parse_script
-from yablo.syntax import alpha_eq, print_formula
+from yablo.syntax import alpha_eq, base_signature, print_formula
 
 
 def f(text: str):
@@ -158,3 +160,23 @@ class TestPinnedCodes:
             printed, code = rows[label]
             assert print_formula(formula) == printed, label
             assert encode(formula) == code, label
+
+
+class TraceBuilt(Exception):
+    pass
+
+
+class TestCheckingBuildsNoTrace:
+    def test_checks_and_pinned_codes_never_build_a_trace(self, monkeypatch):
+        def refuse(*args):
+            raise TraceBuilt
+
+        monkeypatch.setattr(coding, "_build_trace", refuse)
+        fresh = Registry()
+        for name in fresh.names():
+            assert fresh.check(name).ok, name
+        assert golden_codes(fresh)
+        # the patch is live: replaying a fixed point does build its trace
+        result = fix_intro(base_signature(), "H", ("k",), f("all x. k < x -> Prov[ ~self(x) ; x := x ]"))
+        with pytest.raises(TraceBuilt):
+            replay_trace(result)

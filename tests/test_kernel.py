@@ -1,8 +1,12 @@
+import random
 from importlib import resources
 
 import pytest
 
 from yablo.kernel import (
+    MAX_TAUT_ATOMS,
+    _collect_atoms,
+    _Fail,
     _KernelChecker,
     apply_glt,
     arity_violation,
@@ -13,7 +17,24 @@ from yablo.kernel import (
 )
 from yablo.parser import parse_formula, parse_term
 from yablo.scripts import KERNEL_RULES, ScriptError, load_axioms, parse_kernel_script
-from yablo.syntax import Var, alpha_eq, base_signature
+from yablo.syntax import (
+    And,
+    Eq,
+    Exists,
+    Falsum,
+    ForAll,
+    Imp,
+    Lt,
+    Not,
+    Or,
+    PredApp,
+    Var,
+    alpha_eq,
+    base_signature,
+    canonical,
+    numeral,
+    print_formula,
+)
 
 AXIOMS = load_axioms((resources.files("yablo") / "corpus" / "arith.axioms").read_text())
 
@@ -71,6 +92,112 @@ class TestTautConsequence:
         goal = " | ".join(f"R(x, {i})" for i in range(17))
         with pytest.raises(Exception, match="too many distinct atoms"):
             taut_consequence([], f(goal))
+
+
+def row_by_row_taut(premises, goal):
+    """Reference for taut_consequence: the truth table one row at a time,
+    stopping at the first falsifying row."""
+    form = goal
+    for p in reversed(premises):
+        form = Imp(p, form)
+    order: list = []
+    index: dict = {}
+    _collect_atoms(form, order, index)
+    if len(order) > MAX_TAUT_ATOMS:
+        raise _Fail(f"too many distinct atoms for a truth-table check ({len(order)})")
+
+    def ev(g, bits: int) -> bool:
+        match g:
+            case Falsum():
+                return False
+            case Not(s):
+                return not ev(s, bits)
+            case Imp(l, r):
+                return (not ev(l, bits)) or ev(r, bits)
+            case And(l, r):
+                return ev(l, bits) and ev(r, bits)
+            case Or(l, r):
+                return ev(l, bits) or ev(r, bits)
+            case _:
+                return bool(bits >> index[canonical(g)] & 1)
+
+    for bits in range(1 << len(order)):
+        if not ev(form, bits):
+            return False, {print_formula(a): bool(bits >> i & 1) for i, a in enumerate(order)}
+    return True, None
+
+
+def opaque_atom(i: int, variant: int):
+    """Atom number i; the variants of a quantified atom are alpha-equivalent."""
+    v = "xyz"[variant % 3]
+    match i % 4:
+        case 0:
+            return ForAll(v, Imp(Lt(Var(v), numeral(i)), PredApp("Q", (Var(v),))))
+        case 1:
+            return Exists(v, Eq(Var(v), numeral(i)))
+        case 2:
+            return PredApp("R", (Var("k"), numeral(i)))
+        case _:
+            return Lt(numeral(i), Var("k"))
+
+
+def random_connectives(rng: random.Random, leaves: list):
+    if len(leaves) == 1:
+        out = leaves[0]
+    else:
+        cut = rng.randrange(1, len(leaves))
+        left = random_connectives(rng, leaves[:cut])
+        right = random_connectives(rng, leaves[cut:])
+        out = rng.choice((Imp, And, Or))(left, right)
+    return Not(out) if rng.random() < 0.25 else out
+
+
+def random_taut_case(rng: random.Random, atoms: int):
+    """0-2 premises and a goal over exactly `atoms` opaque atoms and bot;
+    a quarter of the small cases are tautologies by construction."""
+    chosen = rng.sample(range(MAX_TAUT_ATOMS + 1), atoms)
+    leaves = chosen + [rng.choice(chosen) for _ in range(rng.randrange(5))]
+    leaves += [None] * rng.randrange(3)
+    rng.shuffle(leaves)
+    parts = sorted(rng.sample(range(1, len(leaves)), min(rng.randrange(3), len(leaves) - 1)))
+    groups = [leaves[a:b] for a, b in zip([0] + parts, parts + [len(leaves)])]
+    formulas = [random_connectives(rng, [Falsum() if i is None else opaque_atom(i, rng.randrange(3))
+                                         for i in g]) for g in groups]
+    premises, goal = formulas[:-1], formulas[-1]
+    if atoms <= 10 and rng.random() < 0.25:
+        twin = random_connectives(random.Random(0), [opaque_atom(i, 2) for i in chosen])
+        goal = Or(goal, Imp(random_connectives(random.Random(0), [opaque_atom(i, 0) for i in chosen]), twin))
+    return premises, goal
+
+
+class TestTautConsequenceAgainstRowByRow:
+    def test_same_verdict_and_countervaluation(self):
+        # the reference scans up to 2**n rows, so the widest tables get few cases
+        sizes = [n for n in range(1, 13) for _ in range(20)] + [n for n in range(13, 17) for _ in range(2)]
+        rng = random.Random(20111)
+        valid = 0
+        for case, n in enumerate(sizes):
+            premises, goal = random_taut_case(rng, n)
+            expected = row_by_row_taut(premises, goal)
+            assert taut_consequence(premises, goal) == expected, (case, premises, goal)
+            valid += expected[0]
+        assert 0 < valid < len(sizes)
+
+    def test_sixteen_atom_tautology(self):
+        atoms = [opaque_atom(i, 0) for i in range(MAX_TAUT_ATOMS)]
+        # the excluded middle comes first, so the reference never reads the rest
+        goal = Or(Or(atoms[0], Not(opaque_atom(0, 1))), random_connectives(random.Random(1), atoms[1:]))
+        assert taut_consequence([], goal) == row_by_row_taut([], goal) == (True, None)
+
+    def test_seventeen_atoms_raise_the_same_failure(self):
+        atoms = [opaque_atom(i, i) for i in range(MAX_TAUT_ATOMS + 1)]
+        premise = random_connectives(random.Random(2), atoms[:9])
+        goal = random_connectives(random.Random(3), atoms[9:])
+        with pytest.raises(_Fail) as new:
+            taut_consequence([premise], goal)
+        with pytest.raises(_Fail) as old:
+            row_by_row_taut([premise], goal)
+        assert str(new.value) == str(old.value) == "too many distinct atoms for a truth-table check (17)"
 
 
 class TestMatchSchema:
