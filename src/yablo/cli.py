@@ -27,7 +27,7 @@ from .gl import (
 )
 from .kernel import CheckReport, check_kernel_script
 from .meta import check_meta_script
-from .parser import ParseError
+from .parser import ParseError, parse_formula
 from .scripts import ScriptError, parse_definition, parse_script
 from .syntax import base_signature, print_formula
 
@@ -58,8 +58,8 @@ def _report_json(name: str, kind: str, rep: CheckReport) -> dict:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.path).read_text()
-    except OSError as e:
+        text = Path(args.path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
@@ -135,7 +135,7 @@ def _cmd_gl(args: argparse.Namespace) -> int:
 def _cmd_code(args: argparse.Namespace) -> int:
     if args.what == "encode":
         try:
-            f = _parse_formula_arg(args.value)
+            f = parse_formula(args.value)
         except ParseError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -163,12 +163,6 @@ def _cmd_code(args: argparse.Namespace) -> int:
     print(f"biconditional: {print_formula(result.biconditional)}")
     print(f"trace:         {' -> '.join(label for label, _ in result.trace)}")
     return 0
-
-
-def _parse_formula_arg(text: str):
-    from .parser import parse_formula
-
-    return parse_formula(text)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -97,7 +97,14 @@ class ModalParseError(ValueError):
         self.pos = pos
 
 
+MAX_DEPTH = 100
+
+
 def parse_modal(text: str) -> MFormula:
+    """The modal formula text spells.  Nesting is capped at MAX_DEPTH levels,
+    each `~`, `[]`, `(` and binary operator on the way in counting one, so
+    the tableau, brute force and printer stay within Python's stack; deeper
+    input raises ModalParseError at the token that crosses the cap."""
     toks: list[tuple[str, str, int]] = []
     i = 0
     while i < len(text):
@@ -139,41 +146,44 @@ def parse_modal(text: str) -> MFormula:
         pos += 1
         return t
 
-    def imp() -> MFormula:
-        left = disj()
+    def enter(depth: int, kind: str, value: str | None = None) -> int:
+        """Eat the token that opens a subformula; its depth, within the cap."""
+        if depth >= MAX_DEPTH:
+            raise ModalParseError(f"nested deeper than {MAX_DEPTH} levels", toks[pos][2])
+        eat(kind, value)
+        return depth + 1
+
+    def imp(depth: int) -> MFormula:
+        left = disj(depth)
         t = peek()
         if t and t[:2] == ("sym", "->"):
-            eat("sym", "->")
-            return Imp(left, imp())
+            return Imp(left, imp(enter(depth, "sym", "->")))
         return left
 
-    def disj() -> MFormula:
-        left = conj()
+    def disj(depth: int) -> MFormula:
+        left = conj(depth)
         while (t := peek()) and t[:2] == ("sym", "|"):
-            eat("sym", "|")
-            left = Or(left, conj())
+            depth = enter(depth, "sym", "|")
+            left = Or(left, conj(depth))
         return left
 
-    def conj() -> MFormula:
-        left = unary()
+    def conj(depth: int) -> MFormula:
+        left = unary(depth)
         while (t := peek()) and t[:2] == ("sym", "&"):
-            eat("sym", "&")
-            left = And(left, unary())
+            depth = enter(depth, "sym", "&")
+            left = And(left, unary(depth))
         return left
 
-    def unary() -> MFormula:
+    def unary(depth: int) -> MFormula:
         t = peek()
         if t is None:
             raise ModalParseError("formula ends early", len(text))
         if t[:2] == ("sym", "~"):
-            eat("sym")
-            return Not(unary())
+            return Not(unary(enter(depth, "sym")))
         if t[0] == "box":
-            eat("box")
-            return Box(unary())
+            return Box(unary(enter(depth, "box")))
         if t[:2] == ("sym", "("):
-            eat("sym")
-            inner = imp()
+            inner = imp(enter(depth, "sym"))
             eat("sym", ")")
             return inner
         if t[0] == "ident":
@@ -181,7 +191,7 @@ def parse_modal(text: str) -> MFormula:
             return Falsum() if t[1] == "bot" else Atom(t[1])
         raise ModalParseError(f"unexpected {t[1]!r}", t[2])
 
-    out = imp()
+    out = imp(0)
     if pos < len(toks):
         raise ModalParseError(f"trailing input {toks[pos][1]!r}", toks[pos][2])
     return out

@@ -1,18 +1,28 @@
 """Concrete syntax for terms and formulas.
 
-Grammar, loosest first: `->` (right associative) then `|` then `&` then `~`.
-Comparisons bind tighter than connectives, `*` tighter than `+` (both left
-associative).  Quantifier bodies extend as far right as possible.  `>` is
-accepted and flipped into `<`.  `Prov[ body ; x := t, ... ]` is the provability
-atom; with the substitution omitted every free variable of the body is mapped
-to itself.  An identifier applied to arguments is a predicate application,
-except `S(...)` (successor) and `Prov[...]`; a bare identifier is a variable
-when lowercase and a zero-ary predicate when capitalized.
+Grammar, loosest first: `->` then `|` then `&` (all right associative), then
+`~` and the quantifiers.  Comparisons bind tighter than connectives, `*`
+tighter than `+` (both left associative).  Quantifier bodies extend as far
+right as possible.  `>` is accepted and flipped into `<`.  `Prov[ body ; x :=
+t, ... ]` is the provability atom; with the substitution omitted every free
+variable of the body is mapped to itself.  An identifier applied to arguments
+is a predicate application, except `S(...)` (successor) and `Prov[...]`; a
+bare identifier is a variable when lowercase and a zero-ary predicate when
+capitalized.
+
+Identifiers (`[A-Za-z][A-Za-z0-9_]*`) and numerals (`[0-9]+`) are ASCII; any
+other character outside whitespace is a parse error.  Nesting is capped at
+MAX_DEPTH levels: each `(`, `~`, quantifier, `S(`, `Prov[` and binary
+operator on the way into a subterm counts one, and so does each operator
+already consumed in a left-associative chain, so every later recursive walk
+of the tree stays well inside Python's stack.  Deeper input raises ParseError
+at the token that crosses the cap; the CLI exits 2 on it.  A numeral is a
+successor tower, but its height is not counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .syntax import (
     And,
@@ -37,8 +47,18 @@ from .syntax import (
     numeral,
 )
 
-_SYMBOLS = ["->", ":=", "(", ")", "[", "]", ";", ",", ".", "+", "*", "=", "<", ">", "~", "&", "|"]
+MAX_DEPTH = 100
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<sym>->|:=|[\[\]();,.+*=<>~&|])|(?P<bad>\S))"
+)
 _KEYWORDS = {"all", "exists", "bot"}
+_QUANTIFIERS = {"all": ForAll, "exists": Exists}
+
+# operator -> (precedence, right associative, constructor)
+_CONNECTIVES = {"->": (1, True, Imp), "|": (2, True, Or), "&": (3, True, And)}
+_TERM_OPS = {"+": (1, False, Plus), "*": (2, False, Times)}
 
 
 class ParseError(ValueError):
@@ -47,44 +67,28 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "num" | "ident" | "sym" | "eof"
-    text: str
-    pos: int
+class _TooDeep(ParseError):
+    """Raised past MAX_DEPTH; a parenthesis never backtracks over it."""
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", src[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], i))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(_Tok("sym", sym, i))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("eof", "", n))
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) triples, kind one of num, ident, sym, ending in eof."""
+    toks = []
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        toks.append((kind, m[kind], m.start(kind)))
+    toks.append(("eof", "", len(src)))
     return toks
+
+
+def _build(pos: int, make, *args):
+    """make(*args), with a constructor's complaint positioned at pos."""
+    try:
+        return make(*args)
+    except SyntaxBuildError as e:
+        raise ParseError(str(e), pos) from None
 
 
 class _Parser:
@@ -92,206 +96,153 @@ class _Parser:
         self.toks = _tokenize(src)
         self.i = 0
 
-    # -- cursor helpers
+    def at(self, text: str) -> bool:
+        return self.toks[self.i][1] == text
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def eat(self, text: str) -> None:
+        _, got, pos = self.toks[self.i]
+        if got != text:
+            raise ParseError(f"expected {text!r}, found {got or 'end of input'!r}", pos)
+        self.i += 1
 
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    def enter(self, depth: int, width: int = 1) -> int:
+        """Step over the width tokens that open a subterm; its depth, within the cap."""
+        if depth >= MAX_DEPTH:
+            raise _TooDeep(f"nested deeper than {MAX_DEPTH} levels", self.toks[self.i][2])
+        self.i += width
+        return depth + 1
 
-    def at_sym(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == text
-
-    def eat_sym(self, text: str) -> None:
-        if not self.at_sym(text):
-            t = self.peek()
-            got = t.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {got!r}", t.pos)
-        self.next()
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().pos)
+    def binary(self, ops: dict, operand, min_prec: int, depth: int):
+        """Precedence climbing over the operators in ops, from min_prec up."""
+        left = operand(depth)
+        while True:
+            op = ops.get(self.toks[self.i][1])
+            if op is None or op[0] < min_prec:
+                return left
+            prec, right_assoc, make = op
+            depth = self.enter(depth)
+            left = make(left, self.binary(ops, operand, prec if right_assoc else prec + 1, depth))
 
     # -- formulas
 
-    def formula(self) -> Formula:
-        left = self._or()
-        if self.at_sym("->"):
-            self.next()
-            return Imp(left, self.formula())
-        return left
+    def formula(self, depth: int) -> Formula:
+        return self.binary(_CONNECTIVES, self.unary, 1, depth)
 
-    def _or(self) -> Formula:
-        left = self._and()
-        if self.at_sym("|"):
-            self.next()
-            return Or(left, self._or())
-        return left
+    def unary(self, depth: int) -> Formula:
+        text = self.toks[self.i][1]
+        if text == "~":
+            return Not(self.unary(self.enter(depth)))
+        quantifier = _QUANTIFIERS.get(text)
+        if quantifier is not None:
+            depth = self.enter(depth)
+            v = self.var_name()
+            self.eat(".")
+            return quantifier(v, self.formula(depth))
+        return self.atom(depth)
 
-    def _and(self) -> Formula:
-        left = self._not()
-        if self.at_sym("&"):
-            self.next()
-            return And(left, self._and())
-        return left
+    def var_name(self) -> str:
+        kind, text, pos = self.toks[self.i]
+        if kind != "ident" or not text[0].islower() or text in _KEYWORDS:
+            raise ParseError("expected a variable name", pos)
+        self.i += 1
+        return _build(pos, Var, text).name
 
-    def _not(self) -> Formula:
-        if self.at_sym("~"):
-            self.next()
-            return Not(self._not())
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("all", "exists"):
-            self.next()
-            v = self._var_name()
-            self.eat_sym(".")
-            body = self.formula()
-            return ForAll(v, body) if t.text == "all" else Exists(v, body)
-        return self._atom()
-
-    def _var_name(self) -> str:
-        t = self.peek()
-        if t.kind != "ident" or not t.text[0].islower() or t.text in _KEYWORDS:
-            raise self.fail("expected a variable name")
-        self.next()
-        try:
-            Var(t.text)
-        except SyntaxBuildError as e:
-            raise ParseError(str(e), t.pos) from None
-        return t.text
-
-    def _atom(self) -> Formula:
-        t = self.peek()
-        if t.kind == "ident":
-            if t.text == "bot":
-                self.next()
+    def atom(self, depth: int) -> Formula:
+        kind, text, pos = self.toks[self.i]
+        if kind == "ident" and text != "S":
+            after = self.toks[self.i + 1][1]
+            if text == "bot":
+                self.i += 1
                 return Falsum()
-            if t.text == "Prov" and self.peek(1).text == "[":
-                return self._box()
-            if self.peek(1).text == "(" and t.text != "S":
-                return self._predapp()
-            if t.text[0].isupper() and t.text != "S":
-                self.next()
-                return PredApp(t.text, ())
-        if self.at_sym("("):
+            if text == "Prov" and after == "[":
+                return self.box(depth)
+            if after == "(":
+                self.i += 2
+                args = [self.term(depth)]
+                while self.at(","):
+                    self.i += 1
+                    args.append(self.term(depth))
+                self.eat(")")
+                return PredApp(text, tuple(args))
+            if text[0].isupper():
+                self.i += 1
+                return PredApp(text)
+        elif text == "(":
+            # a parenthesized formula, else a comparison whose left term
+            # opens with a parenthesis
             mark = self.i
             try:
-                self.next()
-                inner = self.formula()
-                self.eat_sym(")")
+                inner = self.formula(self.enter(depth))
+                self.eat(")")
                 return inner
+            except _TooDeep:
+                raise
             except ParseError:
                 self.i = mark
-        return self._comparison()
+        left = self.term(depth)
+        _, op, pos = self.toks[self.i]
+        if op not in ("<", "=", ">"):
+            raise ParseError("expected a comparison operator", pos)
+        self.i += 1
+        right = self.term(depth)
+        if op == "=":
+            return Eq(left, right)
+        return Lt(left, right) if op == "<" else Lt(right, left)
 
-    def _comparison(self) -> Formula:
-        left = self.term()
-        t = self.peek()
-        if t.kind == "sym" and t.text in ("<", "=", ">"):
-            self.next()
-            right = self.term()
-            if t.text == "=":
-                return Eq(left, right)
-            if t.text == "<":
-                return Lt(left, right)
-            return Lt(right, left)
-        raise self.fail("expected a comparison operator")
-
-    def _predapp(self) -> Formula:
-        name = self.next().text
-        self.eat_sym("(")
-        args = [self.term()]
-        while self.at_sym(","):
-            self.next()
-            args.append(self.term())
-        self.eat_sym(")")
-        return PredApp(name, tuple(args))
-
-    def _box(self) -> Formula:
-        self.next()  # Prov
-        self.eat_sym("[")
-        template = self.formula()
+    def box(self, depth: int) -> Formula:
+        depth = self.enter(depth, 2)  # Prov [
+        template = self.formula(depth)
         entries: list[tuple[str, Term]] = []
         explicit = False
-        if self.at_sym(";"):
-            self.next()
-            while not self.at_sym("]"):
+        if self.at(";"):
+            self.i += 1
+            while not self.at("]"):
                 explicit = True
-                v = self._var_name()
-                self.eat_sym(":=")
-                entries.append((v, self.term()))
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
-        close = self.peek()
-        self.eat_sym("]")
+                v = self.var_name()
+                self.eat(":=")
+                entries.append((v, self.term(depth)))
+                if not self.at(","):
+                    break
+                self.i += 1
+        close = self.toks[self.i][2]
+        self.eat("]")
         if not explicit:
             entries = [(v, Var(v)) for v in sorted(free_vars(template))]
-        try:
-            return Box(template, tuple(entries))
-        except SyntaxBuildError as e:
-            raise ParseError(str(e), close.pos) from None
+        return _build(close, Box, template, tuple(entries))
 
     # -- terms
 
-    def term(self) -> Term:
-        left = self._mul()
-        while self.at_sym("+"):
-            self.next()
-            left = Plus(left, self._mul())
-        return left
+    def term(self, depth: int) -> Term:
+        return self.binary(_TERM_OPS, self.prim, 1, depth)
 
-    def _mul(self) -> Term:
-        left = self._prim()
-        while self.at_sym("*"):
-            self.next()
-            left = Times(left, self._prim())
-        return left
+    def prim(self, depth: int) -> Term:
+        kind, text, pos = self.toks[self.i]
+        if kind == "num":
+            self.i += 1
+            return numeral(int(text))
+        successor = text == "S" and self.toks[self.i + 1][1] == "("
+        if successor or text == "(":
+            inner = self.term(self.enter(depth, 2 if successor else 1))
+            self.eat(")")
+            return Succ(inner) if successor else inner
+        if kind == "ident" and text[0].islower() and text not in _KEYWORDS:
+            self.i += 1
+            return _build(pos, Var, text)
+        raise ParseError("expected a term", pos)
 
-    def _prim(self) -> Term:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return numeral(int(t.text))
-        if t.kind == "ident" and t.text == "S" and self.peek(1).text == "(":
-            self.next()
-            self.eat_sym("(")
-            inner = self.term()
-            self.eat_sym(")")
-            return Succ(inner)
-        if t.kind == "ident" and t.text[0].islower() and t.text not in _KEYWORDS:
-            self.next()
-            try:
-                return Var(t.text)
-            except SyntaxBuildError as e:
-                raise ParseError(str(e), t.pos) from None
-        if self.at_sym("("):
-            self.next()
-            inner = self.term()
-            self.eat_sym(")")
-            return inner
-        raise self.fail("expected a term")
 
-    def finish(self) -> None:
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input starting at {t.text!r}", t.pos)
+def _parse(src: str, start):
+    p = _Parser(src)
+    out = start(p, 0)
+    kind, text, pos = p.toks[p.i]
+    if kind != "eof":
+        raise ParseError(f"trailing input starting at {text!r}", pos)
+    return out
 
 
 def parse_formula(src: str) -> Formula:
-    p = _Parser(src)
-    f = p.formula()
-    p.finish()
-    return f
+    return _parse(src, _Parser.formula)
 
 
 def parse_term(src: str) -> Term:
-    p = _Parser(src)
-    t = p.term()
-    p.finish()
-    return t
+    return _parse(src, _Parser.term)

@@ -16,7 +16,7 @@ about them.  Lines are one of
     N. Prv: FORMULA by RULE ARGS       meta judgment forms
     conclusion FORMULA                 (meta: conclusion Prv:/NotPrv: FORMULA)
 
-`#` starts a comment line.  Parsing is deliberately permissive about step
+`#` starts a comment line.  Step numbers are ASCII digits.  Parsing is deliberately permissive about step
 numbers and rule arity so that a damaged script still parses and the checker
 can point at the offending step.  Free variables need no declaration in
 kernel scripts: they are schematic.
@@ -107,12 +107,12 @@ _SHAPES = {
     "": r"",
     "N, ...": r"(?P<refs>.*)",
     "NAME": rf"(?P<name>{_IDENT})",
-    "N with TERM": r"(?P<refs>\d+)\s+with\s+(?P<term>.+)",
-    "N, M with y": rf"(?P<refs>\d+\s*,\s*\d+)\s+with\s+(?P<var>{_IDENT})",
-    "N with y": rf"(?P<refs>\d+)\s+with\s+(?P<var>{_IDENT})",
-    "N with v := t": r"(?P<refs>\d+)\s+with\s+(?P<bindings>.+)",
+    "N with TERM": r"(?P<refs>[0-9]+)\s+with\s+(?P<term>.+)",
+    "N, M with y": rf"(?P<refs>[0-9]+\s*,\s*[0-9]+)\s+with\s+(?P<var>{_IDENT})",
+    "N with y": rf"(?P<refs>[0-9]+)\s+with\s+(?P<var>{_IDENT})",
+    "N with v := t": r"(?P<refs>[0-9]+)\s+with\s+(?P<bindings>.+)",
     "NAME, N [with v := t, ...]":
-        rf"(?P<name>{_IDENT})\s*,\s*(?P<refs>\d+)(?:\s+with\s+(?P<bindings>.+))?",
+        rf"(?P<name>{_IDENT})\s*,\s*(?P<refs>[0-9]+)(?:\s+with\s+(?P<bindings>.+))?",
 }
 
 # rule name -> argument shape, one table per script kind
@@ -140,7 +140,7 @@ def _parse_indices(text: str, line: int) -> tuple[int, ...]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not (piece.isascii() and piece.isdigit()):
             raise ScriptError(f"expected a step number, found {piece!r}", line)
         out.append(int(piece))
     return tuple(out)
@@ -254,7 +254,7 @@ def _parse_lines(text: str, header: str, step, conclusion, other=None):
             defs.append(_parse_def(line, lineno))
         elif line.startswith("conclusion "):
             concl = conclusion(line[len("conclusion ") :].strip(), lineno)
-        elif m := re.match(r"^(\d+)\.\s+(.*)$", line):
+        elif m := re.match(r"^([0-9]+)\.\s+(.*)$", line):
             steps.append(step(int(m.group(1)), m.group(2), lineno))
         elif not (other and other(line, lineno)):
             raise ScriptError(f"unrecognized line {line!r}", lineno)
@@ -268,7 +268,7 @@ def _parse_lines(text: str, header: str, step, conclusion, other=None):
 def _kernel_step(index: int, rest: str, lineno: int) -> KernelStep:
     if rest.startswith("assume "):
         return KernelStep(index, "assume", formula=_formula(rest[7:], lineno))
-    qm = re.match(r"^qed-block\s+(\d+)\s*$", rest)
+    qm = re.match(r"^qed-block\s+([0-9]+)\s*$", rest)
     if qm:
         return KernelStep(index, "qed", target=int(qm.group(1)))
     ftext, justif = _split_justification(rest, lineno)

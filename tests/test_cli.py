@@ -5,11 +5,30 @@ import pytest
 
 from yablo.cli import main
 from yablo.coding import code_from_str, code_to_str, encode
-from yablo.parser import parse_formula
+from yablo.gl import MAX_DEPTH as MODAL_MAX_DEPTH
+from yablo.parser import MAX_DEPTH, parse_formula
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# formulas nested n levels deep, one per way of nesting
+NESTED = {
+    "and": lambda n: "0 = 0 & " * n + "0 = 0",
+    "plus": lambda n: "x = " + "x + " * n + "x",
+    "succ": lambda n: "S(" * n + "x" + ")" * n + " = x",
+    "prov": lambda n: "Prov[ " * n + "0 = 0" + " ]" * n,
+    "not": lambda n: "~" * n + "0 = 0",
+    "all": lambda n: "all x. " * n + "x = x",
+    "paren": lambda n: "(" * n + "0 = 0" + ")" * n,
+}
+
+
+def one_step_script(tmp_path, formula: str) -> str:
+    path = tmp_path / "one.prf"
+    path.write_text(f'theorem one "one step"\n1. {formula} by taut\nconclusion {formula}\n')
+    return str(path)
 
 
 @pytest.fixture()
@@ -84,6 +103,32 @@ class TestCheckCommand:
         assert time.perf_counter() - start < 10
         assert "ok: deep" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_nesting_over_the_cap_is_a_parse_error(self, shape, tmp_path, capsys):
+        assert run_cli("check", one_step_script(tmp_path, NESTED[shape](5000))) == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_nesting_at_the_cap_is_checked(self, shape, tmp_path, capsys):
+        assert run_cli("check", one_step_script(tmp_path, NESTED[shape](MAX_DEPTH))) in (0, 1)
+        assert "step" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("step", [
+        "1. 0 = 0 by taut\n2. 0 = 0 by reiterate \u00b2",
+        "\u0661. 0 = 0 by taut",
+    ])
+    def test_non_ascii_step_numbers_rejected(self, step, tmp_path, capsys):
+        path = tmp_path / "digits.prf"
+        path.write_text(f'theorem digits "digits"\n{step}\nconclusion 0 = 0\n', encoding="utf-8")
+        assert run_cli("check", str(path)) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.prf"
+        path.write_bytes('theorem t "\u00e9"\n1. 0 = 0 by taut\nconclusion 0 = 0\n'.encode("latin-1"))
+        assert run_cli("check", str(path)) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestProveAllCommand:
     def test_accepts_whole_corpus(self, registry, capsys):
@@ -119,6 +164,16 @@ class TestGlCommand:
         assert run_cli("gl", "p -> ->") == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("formula", ["~" * 2000 + "p", "[]" * 300 + "p", "p & " * 3000 + "p"],
+                             ids=["not", "box", "and"])
+    def test_nesting_over_the_cap_is_a_parse_error(self, formula, capsys):
+        assert run_cli("gl", formula) == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
+    def test_nesting_at_the_cap_is_decided(self, capsys):
+        assert run_cli("gl", "~" * MODAL_MAX_DEPTH + "p") == 1
+        assert "replay: confirmed" in capsys.readouterr().out
+
     def test_budget_exhaustion(self, capsys):
         deep = "[]([]([]([]p -> p) -> []p) -> q) -> ([]q | [](q -> p))"
         assert run_cli("gl", "--budget", "3", deep) == 2
@@ -139,6 +194,16 @@ class TestCodeCommand:
     def test_encode_rejects_bad_formula(self, capsys):
         assert run_cli("code", "encode", "k <") == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_encode_rejects_nesting_over_the_cap(self, shape, capsys):
+        assert run_cli("code", "encode", NESTED[shape](5000)) == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formula", ["x = \u00b2", "\u03a9mega", "P\u00e9(x)", "x = \u0663"])
+    def test_encode_rejects_non_ascii(self, formula, capsys):
+        assert run_cli("code", "encode", formula) == 2
+        assert "error: unexpected character" in capsys.readouterr().err
 
     def test_decode_rejects_non_codes(self, capsys):
         assert run_cli("code", "decode", "0") == 2

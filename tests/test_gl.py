@@ -6,6 +6,7 @@ from yablo.gl import (
     Box,
     Falsum,
     GLBudgetExceeded,
+    MAX_DEPTH,
     KripkeModel,
     ModalParseError,
     ModelError,
@@ -63,6 +64,17 @@ class TestModalSyntax:
         for bad in ("p ->", "[p", "", "p @ q", "(p"):
             with pytest.raises(ModalParseError):
                 parse_modal(bad)
+
+    def test_nesting_cap(self):
+        for opener in ("~", "[]", "("):
+            text = opener * MAX_DEPTH + "p" + ")" * MAX_DEPTH * (opener == "(")
+            assert parse_modal(text)
+            with pytest.raises(ModalParseError, match="nested deeper") as e:
+                parse_modal(opener + text + ")" * (opener == "("))
+            assert e.value.pos == MAX_DEPTH * len(opener)
+        with pytest.raises(ModalParseError, match="nested deeper") as e:
+            parse_modal("p | " * (MAX_DEPTH + 1) + "p")
+        assert e.value.pos == 4 * MAX_DEPTH + 2
 
 
 class TestKripkeModels:

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astgen import rand_formula, sample_formulas
-from yablo.parser import ParseError, parse_formula, parse_term
+from yablo.parser import MAX_DEPTH, ParseError, parse_formula, parse_term
 from yablo.syntax import (
     And,
     Box,
@@ -211,6 +212,36 @@ class TestParser:
     def test_bad_box_subst_rejected(self):
         with pytest.raises((ParseError, SyntaxBuildError)):
             parse_formula("Prov[ x < y ; x := 0 ]")
+
+    @pytest.mark.parametrize("nested", [
+        lambda n: "~" * n + "0 = 0",
+        lambda n: "(" * n + "0 = 0" + ")" * n,
+        lambda n: "S(" * n + "x" + ")" * n + " = x",
+        lambda n: "Prov[" * n + "0 = 0" + "]" * n,
+        lambda n: "all x." * n + "x = x",
+        lambda n: "0 = 0 " + "-> 0 = 0 " * n,
+        lambda n: "x = x " + "* x " * n,
+    ], ids=["not", "paren", "succ", "prov", "all", "imp", "times"])
+    def test_nesting_cap(self, nested):
+        parse_formula(nested(MAX_DEPTH))
+        deeper = nested(MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match="nested deeper than") as e:
+            parse_formula(deeper)
+        # the token that crosses the cap is where the text departs from the capped one
+        assert e.value.pos == len(os.path.commonprefix([nested(MAX_DEPTH), deeper]))
+
+    def test_terms_share_the_cap(self):
+        parse_term("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_term("x" + " + x" * (MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("text, pos", [
+        ("x = \u00b2", 4), ("x = 1\u0663", 5), ("\u03a9mega", 0), ("P\u00e9(x)", 1), ("x\u00b2 = x", 1),
+    ])
+    def test_identifiers_and_numerals_are_ascii(self, text, pos):
+        with pytest.raises(ParseError, match="unexpected character") as e:
+            parse_formula(text)
+        assert e.value.pos == pos
 
 
 class TestSignature:
