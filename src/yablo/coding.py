@@ -2,16 +2,13 @@
 constructor built on top of them.
 
 Every node becomes pair(tag, payload) under a shifted Cantor pairing whose
-image excludes 0, so 0 is never a code.  Pure successor towers get a dedicated
-compact tag carrying the tower height directly; the successor tag only ever
-wraps a non-tower argument.  Without that, the code of the numeral n would
-grow exponentially in n.
+image excludes 0, so 0 is never a code.  A numeral's payload is its value.
 
 decode is a left inverse of encode and validates as it goes: unknown tags,
 malformed payloads, reserved binder names, and quotation substitutions that
 miss or exceed the template's free variables all raise NotACode.  It is not
-injective (a successor wrapped around a tower decodes fine but re-encodes
-compactly), which is harmless for a left inverse.
+injective (a successor wrapped around a numeral decodes fine but re-encodes
+as the next numeral), which is harmless for a left inverse.
 
 A fixed point's trace of codes is built on first read and then cached on its
 DiagonalResult.  Codes double in bit length with each quotation level, and
@@ -37,6 +34,7 @@ from .syntax import (
     Imp,
     Lt,
     Not,
+    Num,
     Or,
     Plus,
     PredApp,
@@ -46,9 +44,8 @@ from .syntax import (
     Times,
     Var,
     alpha_eq,
+    decimal,
     iff,
-    numeral,
-    numeral_value,
     substitute_many,
 )
 
@@ -57,17 +54,13 @@ class NotACode(ValueError):
     pass
 
 
-def code_to_str(n: int) -> str:
-    """Decimal rendering; codes routinely outgrow the int-to-str guard."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(old)
+code_to_str = decimal  # codes routinely outgrow the int-to-str digit limit
 
 
 def code_from_str(s: str) -> int:
+    """The code an ASCII decimal string spells, of any length."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"a code is written in ASCII digits only, not {s!r}")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -177,10 +170,9 @@ def _uncons_list(code: int) -> list[int]:
 
 
 def encode_term(t: Term) -> int:
-    n = numeral_value(t)
-    if n is not None:
-        return pair(TAG_NUM, n)
     match t:
+        case Num(n):
+            return pair(TAG_NUM, n)
         case Var(name):
             return pair(TAG_VAR, name_code(name))
         case Succ(a):
@@ -223,7 +215,7 @@ def encode(f: Formula) -> int:
 def decode_term(code: int) -> Term:
     tag, payload = unpair(code)
     if tag == TAG_NUM:
-        return numeral(payload)
+        return Num(payload)
     if tag == TAG_VAR:
         return _decoded_var(payload)
     if tag == TAG_SUCC:
@@ -296,8 +288,8 @@ def sub_code(code: int, var: str, n: int) -> int:
     """Substitute the numeral for the variable, working directly on codes.
 
     Commutes with encode: sub_code(encode(f), v, n) equals
-    encode(substitute(f, v, numeral(n))).  Successors whose argument becomes a
-    tower are folded into the compact numeral form to keep that alignment, and
+    encode(substitute(f, v, numeral(n))).  A successor whose argument becomes
+    a numeral is folded into the next numeral, as Succ does, and
     binders for the substituted variable shadow it.  Quotation templates are
     untouched; only their substitution ranges are rewritten.
     """
@@ -448,7 +440,7 @@ def replay_trace(result: DiagonalResult) -> bool:
         raise DiagonalError("template code does not decode back")
     for p in result.params:
         via_code = sub_code(tcode, p, 0)
-        via_ast = encode(substitute_many(result.template, {p: numeral(0)}))
+        via_ast = encode(substitute_many(result.template, {p: Num(0)}))
         if via_code != via_ast:
             raise DiagonalError(f"substitution probe for {p} disagrees with the syntax route")
     if result.trace[-1][1] != encode(result.fixed_point):

@@ -212,36 +212,53 @@ class KripkeModel:
     def __post_init__(self) -> None:
         if self.size < 1 or len(self.val) != self.size:
             raise ModelError("one valuation per world is required")
+        succ: list[set[int]] = [set() for _ in range(self.size)]
         for a, b in self.rel:
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ModelError(f"edge ({a}, {b}) leaves the frame")
             if a == b:
                 raise ModelError(f"edge ({a}, {a}) breaks irreflexivity")
+            succ[a].add(b)
         for a, b in self.rel:
-            for c, d in self.rel:
-                if b == c and (a, d) not in self.rel:
-                    raise ModelError(f"missing edge ({a}, {d}) breaks transitivity")
+            missing = succ[b] - succ[a]
+            if missing:
+                raise ModelError(f"missing edge ({a}, {min(missing)}) breaks transitivity")
 
     def successors(self, w: int) -> list[int]:
         return [b for a, b in self.rel if a == w]
 
 
 def forces(model: KripkeModel, w: int, f: MFormula) -> bool:
-    if isinstance(f, Atom):
-        return f.name in model.val[w]
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, Not):
-        return not forces(model, w, f.sub)
-    if isinstance(f, Imp):
-        return not forces(model, w, f.left) or forces(model, w, f.right)
-    if isinstance(f, And):
-        return forces(model, w, f.left) and forces(model, w, f.right)
-    if isinstance(f, Or):
-        return forces(model, w, f.left) or forces(model, w, f.right)
-    if isinstance(f, Box):
-        return all(forces(model, v, f.sub) for v in model.successors(w))
-    raise ModelError(f"cannot evaluate {f!r}")
+    """Truth of f at world w.  A box's truth at a world is computed once per
+    call, so nested boxes cost time linear in their depth, not exponential."""
+    # successors in index order: a tableau countermodel numbers its worlds
+    # depth first, so a box tries its children before their descendants
+    succ: list[list[int]] = [[] for _ in range(model.size)]
+    for a, b in sorted(model.rel):
+        succ[a].append(b)
+    boxes: dict[tuple[int, int], bool] = {}
+
+    def at(w: int, f: MFormula) -> bool:
+        if isinstance(f, Atom):
+            return f.name in model.val[w]
+        if isinstance(f, Falsum):
+            return False
+        if isinstance(f, Not):
+            return not at(w, f.sub)
+        if isinstance(f, Imp):
+            return not at(w, f.left) or at(w, f.right)
+        if isinstance(f, And):
+            return at(w, f.left) and at(w, f.right)
+        if isinstance(f, Or):
+            return at(w, f.left) or at(w, f.right)
+        if isinstance(f, Box):
+            key = (w, id(f))
+            if key not in boxes:
+                boxes[key] = all(at(v, f.sub) for v in succ[w])
+            return boxes[key]
+        raise ModelError(f"cannot evaluate {f!r}")
+
+    return at(w, f)
 
 
 @dataclass(frozen=True)

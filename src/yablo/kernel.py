@@ -34,6 +34,7 @@ from .syntax import (
     Imp,
     Lt,
     Not,
+    Num,
     Or,
     Plus,
     PredApp,
@@ -43,9 +44,9 @@ from .syntax import (
     Term,
     Times,
     Var,
-    Zero,
     alpha_eq,
     canonical,
+    decimal,
     free_vars,
     identity_box,
     iff,
@@ -103,8 +104,8 @@ class _Record:
 def eval_closed_term(t: Term) -> int | None:
     """Value of a variable-free term, or None if a variable occurs."""
     match t:
-        case Zero():
-            return 0
+        case Num(n):
+            return n
         case Succ(a):
             v = eval_closed_term(a)
             return None if v is None else v + 1
@@ -197,9 +198,11 @@ def match_schema(pattern: Formula, instance: Formula) -> dict[str, Term] | None:
                     return env[name] == i
                 env[name] = i
                 return True
-            case Zero():
-                return isinstance(i, Zero)
+            case Num(_):
+                return p == i
             case Succ(a):
+                if isinstance(i, Num):  # S(a) against the numeral k > 0 matches a := k - 1
+                    return i.value > 0 and mt(a, Num(i.value - 1))
                 return isinstance(i, Succ) and mt(a, i.arg)
             case Plus(l, r):
                 return isinstance(i, Plus) and mt(l, i.left) and mt(r, i.right)
@@ -524,7 +527,7 @@ class _KernelChecker(BlockChecker):
         if lv is None or rv is None:
             raise _Fail("terms are not closed")
         if bool(op(lv, rv)) == negated:
-            raise _Fail(f"evaluates to {lv} and {rv}; the stated formula is false")
+            raise _Fail(f"evaluates to {decimal(lv)} and {decimal(rv)}; the stated formula is false")
 
     def rule_unfold(self, step: KernelStep) -> None:
         self._definitional(step, folded_on_left=True)

@@ -16,13 +16,15 @@ MAX_DEPTH levels: each `(`, `~`, quantifier, `S(`, `Prov[` and binary
 operator on the way into a subterm counts one, and so does each operator
 already consumed in a left-associative chain, so every later recursive walk
 of the tree stays well inside Python's stack.  Deeper input raises ParseError
-at the token that crosses the cap; the CLI exits 2 on it.  A numeral is a
-successor tower, but its height is not counted.
+at the token that crosses the cap; the CLI exits 2 on it.  A numeral is one
+node of any size up to the interpreter's int-from-str digit limit (4300
+digits by default); a longer one is a parse error.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .syntax import (
     And,
@@ -35,6 +37,7 @@ from .syntax import (
     Imp,
     Lt,
     Not,
+    Num,
     Or,
     Plus,
     PredApp,
@@ -44,7 +47,6 @@ from .syntax import (
     Times,
     Var,
     free_vars,
-    numeral,
 )
 
 MAX_DEPTH = 100
@@ -219,7 +221,11 @@ class _Parser:
         kind, text, pos = self.toks[self.i]
         if kind == "num":
             self.i += 1
-            return numeral(int(text))
+            try:
+                return Num(int(text))
+            except ValueError:  # past the interpreter's int-from-str digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"numeral longer than {limit} digits", pos) from None
         successor = text == "S" and self.toks[self.i + 1][1] == "("
         if successor or text == "(":
             inner = self.term(self.enter(depth, 2 if successor else 1))

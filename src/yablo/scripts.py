@@ -29,6 +29,7 @@ every entry.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .parser import ParseError, parse_formula, parse_term
@@ -133,6 +134,14 @@ META_RULES = {
 }
 
 
+def _step_number(digits: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-from-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ScriptError(f"step number longer than {limit} digits", line) from None
+
+
 def _parse_indices(text: str, line: int) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -142,7 +151,7 @@ def _parse_indices(text: str, line: int) -> tuple[int, ...]:
         piece = piece.strip()
         if not (piece.isascii() and piece.isdigit()):
             raise ScriptError(f"expected a step number, found {piece!r}", line)
-        out.append(int(piece))
+        out.append(_step_number(piece, line))
     return tuple(out)
 
 
@@ -255,7 +264,7 @@ def _parse_lines(text: str, header: str, step, conclusion, other=None):
         elif line.startswith("conclusion "):
             concl = conclusion(line[len("conclusion ") :].strip(), lineno)
         elif m := re.match(r"^([0-9]+)\.\s+(.*)$", line):
-            steps.append(step(int(m.group(1)), m.group(2), lineno))
+            steps.append(step(_step_number(m.group(1), lineno), m.group(2), lineno))
         elif not (other and other(line, lineno)):
             raise ScriptError(f"unrecognized line {line!r}", lineno)
     if name is None:
@@ -270,7 +279,7 @@ def _kernel_step(index: int, rest: str, lineno: int) -> KernelStep:
         return KernelStep(index, "assume", formula=_formula(rest[7:], lineno))
     qm = re.match(r"^qed-block\s+([0-9]+)\s*$", rest)
     if qm:
-        return KernelStep(index, "qed", target=int(qm.group(1)))
+        return KernelStep(index, "qed", target=_step_number(qm.group(1), lineno))
     ftext, justif = _split_justification(rest, lineno)
     fields = _parse_rule(justif, KERNEL_RULES, "rule", lineno)
     return KernelStep(index, "derive", formula=_formula(ftext, lineno), **fields)

@@ -1,17 +1,19 @@
 """Object-language syntax: first-order arithmetic plus a structural provability
 quotation.
 
-Terms are built from zero, successor, plus, times, and variables.  Formulas add
-the usual connectives and quantifiers, predicate applications resolved against a
-Signature, and Box(template, subst): the provability assertion for the template
-with the substitution's terms written into its dotted variables.  The subst
-domain must cover the template's free variables exactly, so a Box node is closed
-from the outside except through the subst range.
+Terms are built from numerals (one Num node each, the successor of a numeral
+being the next numeral), successor, plus, times, and variables.  Formulas add
+quantifiers, connectives, predicate applications resolved against a Signature,
+and Box(template, subst): the provability assertion for the template with the
+substitution's terms written into its dotted variables.  The subst domain must
+cover the template's free variables exactly, so a Box node is closed from the
+outside except through the subst range.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,13 +41,22 @@ class Term:
 
 
 @dataclass(frozen=True)
-class Zero(Term):
-    pass
+class Num(Term):
+    value: int
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise SyntaxBuildError("numerals are non-negative")
 
 
 @dataclass(frozen=True)
 class Succ(Term):
     arg: Term
+
+    def __new__(cls, arg: Term):  # the successor of a numeral is the next numeral
+        if isinstance(arg, Num):
+            return Num(arg.value + 1)
+        return super().__new__(cls)
 
 
 @dataclass(frozen=True)
@@ -68,23 +79,22 @@ class Var(Term):
         _check_var(self.name)
 
 
-def numeral(n: int) -> Term:
-    """The n-fold successor tower over zero."""
-    if n < 0:
-        raise SyntaxBuildError("numerals are non-negative")
-    t: Term = Zero()
-    for _ in range(n):
-        t = Succ(t)
-    return t
+numeral = Num
 
 
-def numeral_value(t: Term) -> int | None:
-    """The n with t == numeral(n), or None if t is not a pure tower."""
-    n = 0
-    while isinstance(t, Succ):
-        n += 1
-        t = t.arg
-    return n if isinstance(t, Zero) else None
+def Zero() -> Num:
+    """The numeral 0."""
+    return Num(0)
+
+
+def decimal(n: int) -> str:
+    """str(n), past the interpreter's int-to-str digit limit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------- formulas
@@ -296,8 +306,8 @@ def _template_var_order(f: Formula) -> list[str]:
 
 def _canon_term(t: Term, env: dict[str, object]) -> tuple:
     match t:
-        case Zero():
-            return ("0",)
+        case Num(n):
+            return ("n", n)
         case Succ(a):
             return ("s", _canon_term(a, env))
         case Plus(l, r):
@@ -475,10 +485,9 @@ def _term_prec(t: Term) -> int:
 
 
 def print_term(t: Term) -> str:
-    n = numeral_value(t)
-    if n is not None:
-        return str(n)
     match t:
+        case Num(n):
+            return decimal(n)
         case Var(name):
             return name
         case Succ(a):
@@ -491,8 +500,6 @@ def print_term(t: Term) -> str:
             ls = print_term(l) if _term_prec(l) >= 2 else f"({print_term(l)})"
             rs = print_term(r) if _term_prec(r) >= 3 else f"({print_term(r)})"
             return f"{ls} * {rs}"
-        case Zero():
-            return "0"
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from yablo.cli import main
 from yablo.coding import code_from_str, code_to_str, encode
+from yablo.corpus import mono_instance
 from yablo.gl import MAX_DEPTH as MODAL_MAX_DEPTH
 from yablo.parser import MAX_DEPTH, parse_formula
 
@@ -123,6 +124,29 @@ class TestCheckCommand:
         assert run_cli("check", str(path)) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", [
+        "1" * 5000 + ". 0 = 0 by numeval",
+        "1. 0 = 0 by numeval\n2. 0 = 0 by reiterate " + "1" * 5000,
+        "1. assume 0 = 0\n2. qed-block " + "1" * 5000,
+        "1. x = " + "9" * 5000 + " by taut",
+    ], ids=["step", "citation", "qed-block", "numeral"])
+    def test_over_long_digit_strings_rejected(self, step, tmp_path, capsys):
+        path = tmp_path / "long.prf"
+        path.write_text(f'theorem long "long"\n{step}\nconclusion 0 = 0\n')
+        assert run_cli("check", str(path)) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_large_numerals_check_quickly(self, tmp_path, capsys):
+        start = time.perf_counter()
+        path = tmp_path / "num.prf"
+        path.write_text('theorem num "numeral"\n1. 500 < 501 by numeval\nconclusion 500 < 501\n')
+        assert run_cli("check", str(path)) == 0
+        path = tmp_path / "mono.prf"
+        path.write_text(mono_instance("YJ", 1000, 1001))
+        assert run_cli("check", str(path)) == 0
+        assert time.perf_counter() - start < 5
+        assert "ok: rem2_mono_YJ_1000_1001 [kernel] (15 steps)" in capsys.readouterr().out
+
     def test_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.prf"
         path.write_bytes('theorem t "\u00e9"\n1. 0 = 0 by taut\nconclusion 0 = 0\n'.encode("latin-1"))
@@ -174,6 +198,12 @@ class TestGlCommand:
         assert run_cli("gl", "~" * MODAL_MAX_DEPTH + "p") == 1
         assert "replay: confirmed" in capsys.readouterr().out
 
+    def test_nested_boxes_at_the_cap_replay(self, capsys):
+        start = time.perf_counter()
+        assert run_cli("gl", "[]" * MODAL_MAX_DEPTH + "p") == 1
+        assert time.perf_counter() - start < 5
+        assert "replay: confirmed" in capsys.readouterr().out
+
     def test_budget_exhaustion(self, capsys):
         deep = "[]([]([]([]p -> p) -> []p) -> q) -> ([]q | [](q -> p))"
         assert run_cli("gl", "--budget", "3", deep) == 2
@@ -215,6 +245,23 @@ class TestCodeCommand:
         big = code_to_str(encode(parse_formula("Prov[ bot ; ]")))
         assert run_cli("code", "decode", big) == 0
         assert capsys.readouterr().out.strip() == "Prov[bot ;]"
+
+    def test_large_numeral_round_trip(self, capsys):
+        start = time.perf_counter()
+        assert run_cli("code", "encode", "x = 100000000") == 0
+        code = capsys.readouterr().out.strip()
+        assert run_cli("code", "decode", code) == 0
+        assert capsys.readouterr().out.strip() == "x = 100000000"
+        assert time.perf_counter() - start < 5
+
+    def test_encode_rejects_over_long_numeral(self, capsys):
+        assert run_cli("code", "encode", "x = " + "9" * 5000) == 2
+        assert "error: numeral longer than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", ["\u0662\u0662", "1_0", " 2 ", "+7", ""])
+    def test_decode_takes_ascii_digits_only(self, code, capsys):
+        assert run_cli("code", "decode", code) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_diag_reports_fixed_point(self, capsys):
         clause = "D(k) := all x. (k < x) -> Prov[ ~self(x) ; x := x ]"

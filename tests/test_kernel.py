@@ -214,12 +214,18 @@ class TestMatchSchema:
     def test_shape_mismatch(self):
         assert match_schema(f("x < S(x)"), f("k < k + 1")) is None
 
+    def test_successor_pattern_matches_positive_numerals(self):
+        assert match_schema(f("x < S(x)"), f("3 < 4")) == {"x": numeral(3)}
+        assert match_schema(f("x < S(x)"), f("3 < 5")) is None
+        assert match_schema(f("S(x) = y"), f("0 = 0")) is None
+
 
 class TestEvalClosedTerm:
     def test_values(self):
         assert eval_closed_term(parse_term("2 + 3 * 4")) == 14
         assert eval_closed_term(parse_term("S(0 + 1)")) == 2
         assert eval_closed_term(parse_term("x + 1")) is None
+        assert eval_closed_term(numeral(10**40)) == 10**40
 
 
 class TestArityCheck:
@@ -390,6 +396,24 @@ class TestArithmeticRules:
         assert run("1. 2 < 3 by numeval", "2 < 3").ok
         assert run("1. ~(3 < 2) by numeval", "~(3 < 2)").ok
         assert run("1. 2 + 2 = 4 by numeval", "2 + 2 = 4").ok
+
+    def test_schemas_apply_at_numerals(self):
+        for stated, axiom in [
+            ("3 < 4", "lt_succ"),
+            ("0 < 1", "lt_succ"),
+            ("S(2) = S(y) -> 2 = y", "succ_inj"),
+            ("4 = 3 -> 3 = 2", "succ_inj"),
+            ("~(7 < 0)", "lt_zero"),
+        ]:
+            report = run(f"1. {stated} by arith {axiom}", stated)
+            assert report.ok, (stated, report.first())
+        rejected_at(run("1. 3 < 5 by arith lt_succ", "3 < 5"), 1, "not an instance")
+
+    def test_numeval_at_large_numerals(self):
+        assert run("1. 500 < 501 by numeval", "500 < 501").ok
+        assert run("1. S(99999999) = 100000000 by numeval", "100000000 = 100000000").ok
+        big = "9" * 4000
+        rejected_at(run(f"1. {big} * {big} < 0 by numeval", "0 = 0"), 1, "false")
 
     def test_numeval_rejects_falsehoods_and_open_terms(self):
         rejected_at(run("1. 3 < 2 by numeval", "3 < 2"), 1, "false")

@@ -29,13 +29,14 @@ from yablo.syntax import (
     fresh_name,
     identity_box,
     iff,
+    Num,
     numeral,
-    numeral_value,
     print_formula,
     print_term,
     sigma1,
     substitute,
     substitute_many,
+    substitute_term,
 )
 
 
@@ -50,11 +51,38 @@ def t(text: str):
 class TestTerms:
     def test_numeral_round_trip(self):
         for n in (0, 1, 2, 17):
-            assert numeral_value(numeral(n)) == n
+            assert numeral(n) == Num(n) and numeral(n).value == n
 
-    def test_numeral_value_rejects_open_terms(self):
-        assert numeral_value(Succ(Var("x"))) is None
-        assert numeral_value(Plus(Zero(), Zero())) is None
+    def test_open_terms_are_not_numerals(self):
+        assert not isinstance(Succ(Var("x")), Num)
+        assert not isinstance(Plus(Zero(), Zero()), Num)
+
+    def test_successor_of_a_numeral_is_the_next_numeral(self):
+        for n in (0, 1, 9, 10**30):
+            assert Succ(numeral(n)) == numeral(n + 1)
+            assert hash(Succ(numeral(n))) == hash(numeral(n + 1))
+        assert Zero() == numeral(0)
+        assert Succ(Succ(Zero())) == numeral(2)
+        assert t("S(S(3))") == numeral(5)
+        assert substitute_term(Succ(Var("x")), {"x": numeral(4)}) == numeral(5)
+        assert substitute(f("S(x) = y"), "x", numeral(4)) == f("5 = y")
+
+    def test_numerals_are_non_negative(self):
+        with pytest.raises(SyntaxBuildError):
+            numeral(-1)
+
+    def test_numerals_of_any_size_parse_and_print(self):
+        n = 10**5000
+        g = f(f"x = {'9' * 4300}")
+        assert g.right == numeral(10**4300 - 1)
+        assert print_term(Succ(g.right)) == "1" + "0" * 4300
+        assert print_term(numeral(n)) == "1" + "0" * 5000
+        assert t("S(S(1000000))") == numeral(1000002)
+
+    def test_over_long_numeral_is_a_parse_error(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula("x = " + "9" * 5000)
+        assert e.value.pos == 4
 
     def test_reserved_variable_names(self):
         for bad in ("bot", "all", "self", "with"):
