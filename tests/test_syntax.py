@@ -53,7 +53,7 @@ class TestTerms:
         for n in (0, 1, 2, 17):
             assert numeral(n) == Num(n) and numeral(n).value == n
 
-    def test_open_terms_are_not_numerals(self):
+    def test_numeral_value_rejects_open_terms(self):
         assert not isinstance(Succ(Var("x")), Num)
         assert not isinstance(Plus(Zero(), Zero()), Num)
 
