@@ -113,12 +113,16 @@ def _cmd_gl(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        if args.brute:
-            result = brute_force(f, args.brute)
-            how = f"brute force over frames with at most {args.brute} worlds"
-        else:
+        if args.brute is None:
             result = decide_gl(f, args.budget)
             how = "sequent tableau"
+        else:
+            result = brute_force(f, args.brute)
+            how = f"brute force over frames with at most {args.brute} worlds"
+            if result.valid:
+                # no small countermodel is not validity: the tableau decides
+                print(f"no countermodel within {args.brute} worlds ({how}, {result.visited} states)")
+                result, how = decide_gl(f, args.budget), "sequent tableau"
     except GLBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -165,6 +169,16 @@ def _cmd_code(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer")
+    return k
+
+
 def main(argv: list[str] | None = None) -> int:
     top = argparse.ArgumentParser(
         prog="yablo",
@@ -185,8 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     p_gl = sub.add_parser("gl", help="decide a modal formula over transitive well-founded frames")
     p_gl.add_argument("formula", help="modal formula, e.g. '[]([]p -> p) -> []p'")
     p_gl.add_argument("--budget", type=int, default=200_000, help="tableau state budget")
-    p_gl.add_argument("--brute", type=int, metavar="K",
-                      help="use brute force over frames with at most K worlds instead")
+    p_gl.add_argument("--brute", type=_positive_int, metavar="K",
+                      help="search frames with at most K worlds for a countermodel first; "
+                           "valid only if the tableau agrees")
     p_gl.set_defaults(fn=_cmd_gl)
 
     p_code = sub.add_parser("code", help="numeric coding of formulas and fixed points")

@@ -57,6 +57,12 @@ class NotACode(ValueError):
 code_to_str = decimal  # codes routinely outgrow the int-to-str digit limit
 
 
+def _digits(n: int) -> str:
+    """n in decimal for a message: past 50 digits, its first 40 and the count."""
+    text = decimal(n)
+    return text if len(text) <= 50 else f"{text[:40]}... ({len(text)} digits)"
+
+
 def code_from_str(s: str) -> int:
     """The code an ASCII decimal string spells, of any length."""
     if not (s.isascii() and s.isdigit()):
@@ -224,7 +230,7 @@ def decode_term(code: int) -> Term:
         l, r = unpair(payload)
         cls = Plus if tag == TAG_PLUS else Times
         return cls(decode_term(l), decode_term(r))
-    raise NotACode(f"tag {tag} is not a term tag")
+    raise NotACode(f"tag {_digits(tag)} is not a term tag")
 
 
 def _decoded_var(name_payload: int) -> Var:
@@ -272,7 +278,7 @@ def decode(code: int) -> Formula:
             return Box(decode(tpl), tuple(pairs))
         except SyntaxBuildError as e:
             raise NotACode(str(e)) from None
-    raise NotACode(f"tag {tag} is not a formula tag")
+    raise NotACode(f"tag {_digits(tag)} is not a formula tag")
 
 
 def numeral_code(n: int) -> int:
@@ -327,7 +333,7 @@ def sub_code(code: int, var: str, n: int) -> int:
                 v, t = unpair(e)
                 new.append(pair(v, go(t)))
             return pair(tag, pair(tpl, _cons_list(new)))
-        raise NotACode(f"tag {tag} is not a node tag")
+        raise NotACode(f"tag {_digits(tag)} is not a node tag")
 
     return go(code)
 

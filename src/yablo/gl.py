@@ -379,68 +379,130 @@ def decide_gl(f: MFormula, budget: int = 200_000) -> GLResult:
 
 # -- brute force over small frames
 
+_BLOCK_BITS = 16  # a block of valuations is at most 2**16, the bits of one column
+
+
 @lru_cache(maxsize=8)
 def _transitive_relations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every strict partial order on worlds 0..n-1 as its sorted edges, in
+    increasing order of its mask over the pairs (i, j), i != j, row by row.
+
+    The orders on n worlds extend those on n - 1 by a last world x: the
+    worlds x sees form an up-set D, the worlds that see x a down-set U, and
+    every world of U sees every world of D."""
+    if n == 0:
+        return ((),)
+    x = n - 1
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out = []
-    for mask in range(1 << len(pairs)):
-        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
-        if all((a, d) in rel for a, b in rel for c, d in rel if b == c):
-            out.append(tuple(sorted(rel)))
-    return tuple(out)
+    bit = {p: 1 << k for k, p in enumerate(pairs)}
+    edge = {p: p for p in pairs}  # one tuple per edge, shared by every frame
+    members = [[y for y in range(x) if s >> y & 1] for s in range(1 << x)]
+    keyed = []
+    for rel in _transitive_relations(x):
+        succ, pred = [0] * x, [0] * x
+        for a, b in rel:
+            succ[a] |= 1 << b
+            pred[b] |= 1 << a
+        ups = [s for s in range(1 << x) if all(succ[y] & ~s == 0 for y in members[s])]
+        downs = [s for s in range(1 << x) if all(pred[y] & ~s == 0 for y in members[s])]
+        for u in downs:
+            seen_by_all = (1 << x) - 1
+            for y in members[u]:
+                seen_by_all &= succ[y]
+            for d in ups:
+                if d & ~seen_by_all == 0:
+                    new = sorted(rel + tuple(edge[y, x] for y in members[u])
+                                 + tuple(edge[x, y] for y in members[d]))
+                    keyed.append((sum(bit[p] for p in new), tuple(new)))
+    keyed.sort()
+    return tuple(rel for _, rel in keyed)
 
 
-def _eval_mask(f: MFormula, full: int, succ: list[int], am: dict[str, int]) -> int:
-    """Truth of f at every world at once, as a bitmask over worlds."""
-    if isinstance(f, Atom):
-        return am.get(f.name, 0)
-    if isinstance(f, Falsum):
-        return 0
-    if isinstance(f, Not):
-        return full & ~_eval_mask(f.sub, full, succ, am)
-    if isinstance(f, Imp):
-        return (full & ~_eval_mask(f.left, full, succ, am)) | _eval_mask(f.right, full, succ, am)
-    if isinstance(f, And):
-        return _eval_mask(f.left, full, succ, am) & _eval_mask(f.right, full, succ, am)
-    if isinstance(f, Or):
-        return _eval_mask(f.left, full, succ, am) | _eval_mask(f.right, full, succ, am)
-    sub = _eval_mask(f.sub, full, succ, am)
-    return sum(1 << w for w in range(full.bit_length()) if succ[w] & ~sub == 0)
-
-
-def brute_force(f: MFormula, max_worlds: int = 4) -> GLResult:
+def brute_force(f: MFormula, max_worlds: int = 4, budget: int = 1 << 26) -> GLResult:
     """Scan every frame up to the size bound for a falsifying world.
 
+    `valid` means "no countermodel with at most max_worlds worlds", which is
+    weaker than GL-validity: `[]bot` has no countermodel on one world.
     Deterministic: the counterexample, if any, is the first in the fixed
-    enumeration order (size, then relation, then valuation, then world).
+    enumeration order (size, then relation, then valuation, then world), and
+    `visited` counts the (frame, valuation) pairs scanned up to it.
+
+    Valuation v on n worlds makes the k-th atom (sorted by name) true at
+    world w when bit w*K + k of v is set, K atoms in all.  Each frame is
+    evaluated once per block of up to 2**16 consecutive valuations, on one
+    integer column per (world, atom) whose bit j is that atom's value at that
+    world under the block's j-th valuation.
+
+    Raises GLBudgetExceeded when the scan would visit more than budget
+    pairs, or, since the frames on n worlds are built before any is scanned,
+    when a bound on their number (those on n - 1 worlds times 3**(n - 1))
+    exceeds what is left of it.
     """
     names = sorted(atoms_of(f))
+    index = {name: k for k, name in enumerate(names)}
+    stride = len(names)
     checked = 0
+
+    def columns(g: MFormula) -> list[int]:
+        """Truth of g at each world, one column over the current block each;
+        reads the scan's n, bits, full, patterns, base and succ."""
+        if isinstance(g, Atom):
+            return [patterns[i] if i < bits else full if base >> i & 1 else 0
+                    for i in range(index[g.name], n * stride, stride)]
+        if isinstance(g, Falsum):
+            return [0] * n
+        if isinstance(g, Not):
+            return [full ^ c for c in columns(g.sub)]
+        if isinstance(g, Imp):
+            return [(full ^ a) | b for a, b in zip(columns(g.left), columns(g.right))]
+        if isinstance(g, And):
+            return [a & b for a, b in zip(columns(g.left), columns(g.right))]
+        if isinstance(g, Or):
+            return [a | b for a, b in zip(columns(g.left), columns(g.right))]
+        sub = columns(g.sub)
+        out = []
+        for seen in succ:
+            col = full
+            for s in seen:
+                col &= sub[s]
+            out.append(col)
+        return out
+
     for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
+        if len(_transitive_relations(n - 1)) * 3 ** (n - 1) > budget - checked:
+            raise GLBudgetExceeded(f"brute-force budget of {budget} (frame, valuation) pairs "
+                                   f"cannot cover the frames on {n} worlds")
+        bits = min(n * stride, _BLOCK_BITS)
+        full = (1 << (1 << bits)) - 1
+        # bit j of patterns[i] is bit i of j: the low bits of a valuation
+        patterns = []
+        for i in range(bits):
+            col, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+            while width < 1 << bits:
+                col, width = col | col << width, 2 * width
+            patterns.append(col)
         for rel in _transitive_relations(n):
-            succ = [0] * n
+            succ = [[] for _ in range(n)]
             for a, b in rel:
-                succ[a] |= 1 << b
-            for vmask in range(1 << (n * len(names))):
-                am = {
-                    name: sum(
-                        1 << w
-                        for w in range(n)
-                        if vmask >> (w * len(names) + k) & 1
-                    )
-                    for k, name in enumerate(names)
-                }
-                checked += 1
-                truth = _eval_mask(f, full, succ, am)
-                if truth != full:
-                    world = (truth ^ full & -(truth ^ full)).bit_length() - 1
-                    val = tuple(
-                        frozenset(name for name in names if am[name] >> w & 1)
-                        for w in range(n)
-                    )
-                    model = KripkeModel(n, frozenset(rel), val)
-                    return GLResult(False, model, world, checked)
+                succ[a].append(b)
+            for base in range(0, 1 << n * stride, 1 << bits):
+                truth = columns(f)
+                everywhere = full
+                for col in truth:
+                    everywhere &= col
+                falsified = full ^ everywhere
+                if falsified:
+                    j = (falsified & -falsified).bit_length() - 1  # lowest falsifying valuation
+                    if checked + j < budget:
+                        v = base + j
+                        world = next(w for w in range(n) if not truth[w] >> j & 1)
+                        val = tuple(frozenset(names[k] for k in range(stride) if v >> (w * stride + k) & 1)
+                                    for w in range(n))
+                        return GLResult(False, KripkeModel(n, frozenset(rel), val), world, checked + j + 1)
+                checked += 1 << bits
+                if checked > budget:
+                    raise GLBudgetExceeded(f"brute-force budget of {budget} (frame, valuation) pairs "
+                                           "exhausted")
     return GLResult(True, None, None, checked)
 
 

@@ -34,3 +34,14 @@ def small_formulas(max_nodes: int = 4) -> list[MFormula]:
     for n in range(1, max_nodes + 1):
         out.extend(_of_size(n))
     return out
+
+
+def random_formula(rng, atoms: tuple[str, ...], nodes: int) -> MFormula:
+    """A seeded random formula of exactly `nodes` nodes over atoms and bottom."""
+    if nodes == 1:
+        return rng.choice([Atom(a) for a in atoms] + [Falsum()])
+    if nodes == 2 or rng.random() < 0.3:
+        return rng.choice((Not, Box))(random_formula(rng, atoms, nodes - 1))
+    left = rng.randrange(1, nodes - 1)
+    return rng.choice((Imp, And, Or))(random_formula(rng, atoms, left),
+                                      random_formula(rng, atoms, nodes - 1 - left))

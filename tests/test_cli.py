@@ -184,6 +184,39 @@ class TestGlCommand:
         assert run_cli("gl", "--brute", "3", "[](p -> q) -> ([]p -> []q)") == 0
         assert run_cli("gl", "--brute", "3", "p -> []p") == 1
 
+    @pytest.mark.parametrize("k", ["0", "-3", "two"])
+    def test_brute_force_needs_a_positive_world_count(self, k, capsys):
+        with pytest.raises(SystemExit) as e:  # argparse rejects it
+            run_cli("gl", "--brute", k, "p")
+        assert e.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_brute_force_without_countermodel_defers_to_the_tableau(self, capsys):
+        # []bot fails at any world with a successor, so one world shows nothing
+        assert run_cli("gl", "--brute", "1", "[]bot") == 1
+        out = capsys.readouterr().out
+        assert "no countermodel within 1 worlds" in out
+        assert "invalid (sequent tableau" in out
+        assert "replay: confirmed" in out
+        assert run_cli("gl", "--brute", "3", "[](p -> q) -> ([]p -> []q)") == 0
+        out = capsys.readouterr().out
+        assert "no countermodel within 3 worlds" in out
+        assert "valid (sequent tableau" in out
+
+    def test_brute_force_on_five_and_six_worlds_is_bounded(self, capsys):
+        start = time.perf_counter()
+        assert run_cli("gl", "--brute", "5", "[]p -> [][]p") == 0
+        assert time.perf_counter() - start < 5
+        start = time.perf_counter()
+        assert run_cli("gl", "--brute", "6", "[]p -> [][]p") in (0, 2)
+        assert time.perf_counter() - start < 20
+
+    def test_brute_force_budget_exits_2(self, capsys):
+        start = time.perf_counter()
+        assert run_cli("gl", "--brute", "2", " & ".join("abcdefghijklmn") + " -> a") == 2
+        assert "budget" in capsys.readouterr().err
+        assert time.perf_counter() - start < 10
+
     def test_parse_error(self, capsys):
         assert run_cli("gl", "p -> ->") == 2
         assert "error" in capsys.readouterr().err
@@ -240,6 +273,12 @@ class TestCodeCommand:
         capsys.readouterr()
         assert run_cli("code", "decode", "42") == 2
         assert "error" in capsys.readouterr().err
+
+    def test_decode_error_truncates_a_long_tag(self, capsys):
+        assert run_cli("code", "decode", "7" * 5000) == 2
+        err = capsys.readouterr().err
+        assert "(2500 digits) is not a formula tag" in err
+        assert len(err) < 200
 
     def test_decode_handles_very_long_numerals(self, capsys):
         big = code_to_str(encode(parse_formula("Prov[ bot ; ]")))

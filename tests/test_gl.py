@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from modalgen import small_formulas
+import reference_brute_force as reference
+from modalgen import random_formula, small_formulas
 from yablo.gl import (
     Atom,
     Box,
@@ -12,6 +15,7 @@ from yablo.gl import (
     ModelError,
     Not,
     NotSkeletonizable,
+    _transitive_relations,
     atoms_of,
     brute_force,
     decide_gl,
@@ -155,6 +159,76 @@ class TestBruteForce:
             if t.valid != b.valid:
                 disagreements.append(print_modal(g))
         assert not disagreements, disagreements[:10]
+
+
+class TestBruteForceAgainstPerValuation:
+    """The bit-parallel scan returns the same GLResult, model, world and
+    visited count included, as the per-valuation scan it replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_small_formulas(self, k):
+        for g in small_formulas(5):
+            assert brute_force(g, k) == reference.brute_force(g, k), print_modal(g)
+
+    def test_random_formulas_of_three_to_five_atoms(self):
+        rng = random.Random(11)
+        cases = []
+        while len(cases) < 40:
+            atoms = tuple(f"p{i}" for i in range(rng.choice((3, 4, 5))))
+            g = random_formula(rng, atoms, rng.randrange(2 * len(atoms), 4 * len(atoms) + 1))
+            if len(atoms_of(g)) == len(atoms):
+                cases.append(g)
+        valid = 0
+        for g in cases:
+            for k in (1, 2, 3):
+                expected = reference.brute_force(g, k)
+                assert brute_force(g, k) == expected, (print_modal(g), k)
+            valid += expected.valid
+        assert 0 < valid < len(cases)
+
+    def test_countermodels_past_the_first_block(self):
+        # seventeen atoms on one world: 2**17 valuations, two blocks of 2**16
+        names = [f"p{k:02}" for k in range(17)]
+        g = m(f"p16 -> ~p03 | ({' & '.join(names[:16])} & bot)")
+        expected = reference.brute_force(g, 1)
+        assert expected.visited == (1 << 16) + 8 + 1
+        assert brute_force(g, 1) == expected
+        # nine atoms on two worlds: h at world 1 is bit 16 of the valuation
+        g = m("[]bot | ~[]h | ~c | (a & b & d & e & f & g & i & bot)")
+        got = brute_force(g, 2)
+        assert got.model.rel == frozenset({(0, 1)})
+        assert got.model.val == (frozenset({"c"}), frozenset({"h"}))
+        assert got.world == 0
+        assert got.visited == (1 << 9) + (1 << 18) + (1 << 16) + 4 + 1
+        assert brute_force(g, 2, budget=got.visited) == got
+        with pytest.raises(GLBudgetExceeded):
+            brute_force(g, 2, budget=got.visited - 1)
+
+    def test_partial_orders_in_mask_order(self):
+        assert [len(_transitive_relations(n)) for n in range(1, 6)] == [1, 3, 19, 219, 4231]
+        for n in range(5):
+            assert _transitive_relations(n) == reference._transitive_relations(n)
+        pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
+        masks = [sum(1 << pairs.index(e) for e in rel) for rel in _transitive_relations(5)]
+        assert masks == sorted(set(masks))
+        for rel in _transitive_relations(5):
+            assert all(a != b for a, b in rel)
+            assert all((a, d) in rel for a, b in rel for c, d in rel if b == c)
+
+
+class TestBruteForceBudget:
+    @pytest.mark.parametrize("text", ["[]p -> [][]p", "[](p -> q) -> ([]p -> p)"])
+    def test_budget_bounds_visited_exactly(self, text):
+        g = m(text)
+        full = brute_force(g, 3)
+        assert brute_force(g, 3, budget=full.visited) == full
+        with pytest.raises(GLBudgetExceeded):
+            brute_force(g, 3, budget=full.visited - 1)
+
+    def test_frames_too_many_for_the_rest_of_the_budget(self):
+        # 242 pairs up to four worlds; the frames on five could number 219 * 3**4
+        with pytest.raises(GLBudgetExceeded, match="frames on 5 worlds"):
+            brute_force(m("~bot"), 5, budget=1000)
 
 
 class TestSkeletons:
