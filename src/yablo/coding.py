@@ -45,6 +45,7 @@ from .syntax import (
     Var,
     alpha_eq,
     decimal,
+    free_vars,
     iff,
     substitute_many,
 )
@@ -368,10 +369,11 @@ class DiagonalResult:
                             self.biconditional, self.fixed_point)
 
 
-def _hole_positions(f: Formula, hole: str, under_box: bool, out: list[bool]) -> None:
+def _hole_positions(f: Formula, hole: str, under_box: bool, out: list[tuple[bool, int]]) -> None:
+    """(under a quotation, argument count) of each application of hole."""
     match f:
-        case PredApp(name, _) if name == hole:
-            out.append(under_box)
+        case PredApp(name, args) if name == hole:
+            out.append((under_box, len(args)))
         case Not(s):
             _hole_positions(s, hole, under_box, out)
         case Imp(l, r) | And(l, r) | Or(l, r):
@@ -402,16 +404,25 @@ def _build_trace(template: Formula, hole: str, params: tuple[str, ...],
 def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> DiagonalResult:
     """Fixed point of template in the hole predicate, by naming.
 
-    The hole may occur only inside quotation templates; an occurrence in
-    direct position is rejected.  When the hole never occurs the template is
-    its own fixed point.
+    The parameters are distinct variables and the template's free variables
+    are among them.  The hole may occur only inside quotation templates, and
+    applied to one argument per parameter; an occurrence in direct position
+    is rejected.  When the hole never occurs the template is its own fixed
+    point.
     """
-    positions: list[bool] = []
-    _hole_positions(template, hole, False, positions)
-    if any(not p for p in positions):
-        raise DiagonalError(f"predicate {hole} occurs outside every quotation")
     for p in params:
         Var(p)
+    if len(set(params)) != len(params):
+        raise DiagonalError(f"duplicate parameter in {hole}({', '.join(params)})")
+    stray = free_vars(template) - set(params)
+    if stray:
+        raise DiagonalError(f"free variables {sorted(stray)} are not parameters of {hole}")
+    positions: list[tuple[bool, int]] = []
+    _hole_positions(template, hole, False, positions)
+    if any(not quoted for quoted, _ in positions):
+        raise DiagonalError(f"predicate {hole} occurs outside every quotation")
+    if any(n != len(params) for _, n in positions):
+        raise DiagonalError(f"predicate {hole} is applied to other than {len(params)} arguments")
     if positions:
         fixed_point: Formula = PredApp(hole, tuple(Var(p) for p in params))
     else:

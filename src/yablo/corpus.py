@@ -6,17 +6,24 @@ and doubles as the resolver that meta scripts use to cite kernel conclusions
 and earlier unprovability results.  On top of the bundled files it generates
 one monotonicity instance script per sentence family and numeral pair below
 a small bound, exercising the same step template at concrete numerals.
+
+A generated script is not parsed from its text.  The Registry parses one
+template per family, written with the variables ``lo`` and ``hi`` where the
+numerals go, and builds each instance by substituting the numerals into the
+template's step formulas and conclusion.  The result equals the parse of the
+instance's rendered text (``Entry.text``, ``mono_instance``), so checking
+that text gives the same verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .kernel import CheckReport, check_kernel_script
 from .meta import ResolveError, check_meta_script
 from .scripts import Definition, KernelScript, MetaScript, load_axioms, parse_script
-from .syntax import Formula, base_signature
+from .syntax import Formula, Num, base_signature, substitute_many
 
 # bundled scripts in citation order: support lemmas first, then the
 # headline derivations, then the meta-level results
@@ -49,16 +56,30 @@ class CorpusError(Exception):
     pass
 
 
-def mono_instance(family: str, lo: int, hi: int) -> str:
-    """Monotonicity instance at concrete numerals: family(lo) -> family(hi)."""
+_MONO_NAME = "rem2_mono_{f}_{lo}_{hi}"
+_MONO_DOC = "Monotonicity instance for {f} at the numerals {lo} and {hi}"
+# the variables a family's parsed template holds in place of the two numerals
+_LO, _HI = "lo", "hi"
+
+
+def _check_mono(family: str, lo: int, hi: int) -> None:
     if family not in _FAMILIES:
         raise CorpusError(f"no sentence family named {family}")
     if not 0 <= lo < hi:
         raise CorpusError(f"need 0 <= lo < hi, got {lo}, {hi}")
-    self_body, judged = _FAMILIES[family]
+
+
+def mono_instance(family: str, lo: int, hi: int) -> str:
+    """Monotonicity instance at concrete numerals: family(lo) -> family(hi)."""
+    _check_mono(family, lo, hi)
+    return _mono_text(family, lo, hi)
+
+
+def _mono_text(f: str, lo: int | str, hi: int | str) -> str:
+    """The instance script of family f at lo and hi, numerals or variables."""
+    self_body, judged = _FAMILIES[f]
     at = lambda r: judged.format(r=r)
-    f = family
-    return f"""theorem rem2_mono_{f}_{lo}_{hi} "Monotonicity instance for {f} at the numerals {lo} and {hi}"
+    return f"""theorem {_MONO_NAME.format(f=f, lo=lo, hi=hi)} "{_MONO_DOC.format(f=f, lo=lo, hi=hi)}"
 def {f}(k) := all x. (k < x) -> {self_body}
 
 1. {lo} < {hi} by numeval
@@ -82,7 +103,7 @@ conclusion {f}({lo}) -> {f}({hi})
 
 def mono_instance_names() -> list[str]:
     return [
-        f"rem2_mono_{fam}_{lo}_{hi}"
+        _MONO_NAME.format(f=fam, lo=lo, hi=hi)
         for fam in _FAMILIES
         for lo in range(MONO_BOUND)
         for hi in range(lo + 1, MONO_BOUND + 1)
@@ -105,6 +126,7 @@ class Registry:
         self._scripts: dict[str, KernelScript | MetaScript] = {}
         self._reports: dict[str, CheckReport] = {}
         self._checking: set[str] = set()
+        self._mono_templates: dict[str, KernelScript] = {}  # family -> parsed template
         root = resources.files(__package__) / "corpus"
         self.axioms = load_axioms((root / "arith.axioms").read_text())
         listed = {p.name: p for p in root.iterdir() if p.name.endswith((".prf", ".mprf"))}
@@ -137,11 +159,31 @@ class Registry:
     def script(self, name: str) -> KernelScript | MetaScript:
         if name not in self._scripts:
             e = self.entry(name)
-            script = parse_script(e.text)
+            if e.origin == "generated":
+                _, fam, lo, hi = name.rsplit("_", 3)
+                script = self.mono_script(fam, int(lo), int(hi))
+            else:
+                script = parse_script(e.text)
             if script.name != name:
                 raise CorpusError(f"{name}: declares the name {script.name}")
             self._scripts[name] = script
         return self._scripts[name]
+
+    def mono_script(self, family: str, lo: int, hi: int) -> KernelScript:
+        """The script ``mono_instance(family, lo, hi)`` parses to, built from
+        the family's template, which this Registry parses on first use."""
+        _check_mono(family, lo, hi)
+        template = self._mono_templates.get(family)
+        if template is None:
+            template = self._mono_templates[family] = parse_script(_mono_text(family, _LO, _HI))
+        sigma = {_LO: Num(lo), _HI: Num(hi)}
+        steps = tuple(
+            s if s.formula is None else replace(s, formula=substitute_many(s.formula, sigma))
+            for s in template.steps
+        )
+        return replace(template, name=_MONO_NAME.format(f=family, lo=lo, hi=hi),
+                       doc=_MONO_DOC.format(f=family, lo=lo, hi=hi), steps=steps,
+                       conclusion=substitute_many(template.conclusion, sigma))
 
     def check(self, name: str) -> CheckReport:
         if name in self._reports:

@@ -285,32 +285,53 @@ def _sort_key(f: MFormula) -> str:
     return print_modal(f)
 
 
+# Non-branching rules run in a loop; only splits and modal jumps nest, two
+# stack frames each, so a path of MAX_PATH of them stays inside Python's
+# default recursion limit.
+MAX_PATH = 300
+
+
 class _Search:
     def __init__(self, budget: int):
         self.budget = budget
         self.visited = 0
+        self.depth = 0
         self.memo: dict[tuple[frozenset, frozenset], bool | _Tree] = {}
 
     def solve(self, gamma: frozenset, delta: frozenset) -> bool | _Tree:
-        key = (gamma, delta)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.visited += 1
-        if self.visited > self.budget:
-            raise GLBudgetExceeded(f"sequent budget of {self.budget} exhausted")
-        out = self._step(gamma, delta)
-        self.memo[key] = out
-        return out
+        """The outcome of the sequent: True, or the tree of a countermodel.
+        Each sequent met along the way counts as visited and is memoized."""
+        if self.depth >= MAX_PATH:
+            raise GLBudgetExceeded(f"a tableau branch nests more than {MAX_PATH} splits and jumps")
+        self.depth += 1
+        try:
+            chain = []
+            while (out := self.memo.get((gamma, delta))) is None:
+                self.visited += 1
+                if self.visited > self.budget:
+                    raise GLBudgetExceeded(f"sequent budget of {self.budget} exhausted")
+                chain.append((gamma, delta))
+                out = self._step(gamma, delta)
+                if not isinstance(out, tuple):
+                    break
+                gamma, delta = out
+            for key in chain:
+                self.memo[key] = out
+            return out
+        finally:
+            self.depth -= 1
 
-    def _step(self, gamma: frozenset, delta: frozenset) -> bool | _Tree:
+    def _step(self, gamma: frozenset,
+              delta: frozenset) -> bool | _Tree | tuple[frozenset, frozenset]:
+        """The outcome of the sequent, or the one premise of a non-branching
+        rule, for solve to continue with."""
         if gamma & delta or Falsum() in gamma:
             return True
         for f in sorted(gamma, key=_sort_key):
             if isinstance(f, Not):
-                return self.solve(gamma - {f}, delta | {f.sub})
+                return gamma - {f}, delta | {f.sub}
             if isinstance(f, And):
-                return self.solve(gamma - {f} | {f.left, f.right}, delta)
+                return gamma - {f} | {f.left, f.right}, delta
             if isinstance(f, Or):
                 first = self.solve(gamma - {f} | {f.left}, delta)
                 if first is not True:
@@ -323,13 +344,13 @@ class _Search:
                 return self.solve(gamma - {f} | {f.right}, delta)
         for f in sorted(delta, key=_sort_key):
             if isinstance(f, Falsum):
-                return self.solve(gamma, delta - {f})
+                return gamma, delta - {f}
             if isinstance(f, Not):
-                return self.solve(gamma | {f.sub}, delta - {f})
+                return gamma | {f.sub}, delta - {f}
             if isinstance(f, Imp):
-                return self.solve(gamma | {f.left}, delta - {f} | {f.right})
+                return gamma | {f.left}, delta - {f} | {f.right}
             if isinstance(f, Or):
-                return self.solve(gamma, delta - {f} | {f.left, f.right})
+                return gamma, delta - {f} | {f.left, f.right}
             if isinstance(f, And):
                 first = self.solve(gamma, delta - {f} | {f.left})
                 if first is not True:

@@ -390,7 +390,7 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
     Inside a Box only the subst range terms are rewritten; the template is
     quoted material and never touched.
     """
-    sigma = {v: t for v, t in sigma.items() if t != Var(v)}
+    sigma = {v: t for v, t in sigma.items() if not (isinstance(t, Var) and t.name == v)}
     if not sigma:
         return f
 

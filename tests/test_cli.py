@@ -7,6 +7,7 @@ from yablo.cli import main
 from yablo.coding import code_from_str, code_to_str, encode
 from yablo.corpus import mono_instance
 from yablo.gl import MAX_DEPTH as MODAL_MAX_DEPTH
+from yablo.gl import MAX_PATH as MODAL_MAX_PATH
 from yablo.parser import MAX_DEPTH, parse_formula
 
 
@@ -147,6 +148,29 @@ class TestCheckCommand:
         assert time.perf_counter() - start < 5
         assert "ok: rem2_mono_YJ_1000_1001 [kernel] (15 steps)" in capsys.readouterr().out
 
+    def test_definition_with_a_free_variable_is_rejected(self, tmp_path, capsys):
+        # with x free in D's body, fold and unfold would derive bot
+        path = tmp_path / "free.prf"
+        path.write_text("""theorem free "a definition with a free variable"
+def D(k) := x < k
+1. (x < 1) -> D(1) by fold D
+2. all x. (x < 1) -> D(1) by allI 1
+3. (0 < 1) -> D(1) by allE 2 with 0
+4. 0 < 1 by numeval
+5. D(1) by mp 3, 4
+6. D(1) -> x < 1 by unfold D
+7. all x. D(1) -> x < 1 by allI 6
+8. D(1) -> 5 < 1 by allE 7 with 5
+9. 5 < 1 by mp 8, 5
+10. ~(5 < 1) by numeval
+11. bot by negE 9, 10
+conclusion bot
+""")
+        assert run_cli("check", str(path)) == 1
+        out = capsys.readouterr().out
+        assert "REJECTED: free [kernel]" in out
+        assert "definition D: free variables ['x']" in out
+
     def test_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.prf"
         path.write_bytes('theorem t "\u00e9"\n1. 0 = 0 by taut\nconclusion 0 = 0\n'.encode("latin-1"))
@@ -237,6 +261,27 @@ class TestGlCommand:
         assert time.perf_counter() - start < 5
         assert "replay: confirmed" in capsys.readouterr().out
 
+    def test_wide_conjunction_is_decided(self, capsys):
+        def balanced(atoms):
+            half = len(atoms) // 2
+            return atoms[0] if half == 0 else f"({balanced(atoms[:half])} & {balanced(atoms[half:])})"
+
+        start = time.perf_counter()
+        assert run_cli("gl", balanced([f"a{i}" for i in range(512)]) + " -> b") == 1
+        assert "replay: confirmed" in capsys.readouterr().out
+        assert time.perf_counter() - start < 10
+
+    def test_tableau_path_bound_exits_2(self, capsys):
+        # each disjunction splits the branch the next one is split on
+        conjuncts = [f"(p{i} | q{i})" for i in range(MODAL_MAX_PATH)]
+        while len(conjuncts) > 1:
+            pairs = zip(conjuncts[::2], conjuncts[1::2])
+            conjuncts = [f"({a} & {b})" for a, b in pairs] + conjuncts[len(conjuncts) // 2 * 2:]
+        start = time.perf_counter()
+        assert run_cli("gl", conjuncts[0] + " -> b") == 2
+        assert "splits and jumps" in capsys.readouterr().err
+        assert time.perf_counter() - start < 10
+
     def test_budget_exhaustion(self, capsys):
         deep = "[]([]([]([]p -> p) -> []p) -> q) -> ([]q | [](q -> p))"
         assert run_cli("gl", "--budget", "3", deep) == 2
@@ -312,6 +357,15 @@ class TestCodeCommand:
 
     def test_diag_rejects_direct_self_reference(self, capsys):
         assert run_cli("code", "diag", "D(k) := self(k) -> k < 1") == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clause", [
+        "D(k) := x < k",
+        "D(k, k) := k < k",
+        "D(k) := Prov[ self(k, k) ; k := k ]",
+    ], ids=["free-variable", "duplicate-parameter", "self-arity"])
+    def test_diag_rejects_ill_formed_definitions(self, clause, capsys):
+        assert run_cli("code", "diag", clause) == 2
         assert "error" in capsys.readouterr().err
 
     def test_diag_rejects_garbage(self, capsys):

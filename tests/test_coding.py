@@ -238,6 +238,16 @@ class TestDiagonalization:
         with pytest.raises(DiagonalError):
             diagonalize(Imp(PredApp("H"), Falsum()), "H", ())
 
+    @pytest.mark.parametrize("template, params", [
+        ("x < k", ("k",)),
+        ("k < k", ("k", "k")),
+        ("Prov[ H(k, k) ; k := k ]", ("k",)),
+        ("Prov[ H ; ]", ("k",)),
+    ], ids=["free-variable", "duplicate-parameter", "extra-argument", "missing-argument"])
+    def test_ill_formed_definitions_rejected(self, template, params):
+        with pytest.raises(DiagonalError):
+            diagonalize(f(template), "H", params)
+
     def test_absent_hole_fixes_the_template_itself(self):
         template = f("all x. k < x")
         result = diagonalize(template, "H", ("k",))

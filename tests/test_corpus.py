@@ -2,7 +2,7 @@ from importlib import resources
 
 import pytest
 
-from yablo import coding
+from yablo import coding, corpus
 from yablo.coding import code_from_str, encode, fix_intro, replay_trace
 from yablo.corpus import (
     KERNEL_ORDER,
@@ -68,6 +68,34 @@ class TestGeneratedInstances:
         script = parse_script(mono_instance("YG", 1, 4))
         assert script.kind == "kernel"
         assert alpha_eq(script.conclusion, f("YG(1) -> YG(4)"))
+
+    def test_built_scripts_equal_their_parsed_text(self):
+        fresh = Registry()
+        for name in mono_instance_names():
+            assert fresh.script(name) == parse_script(fresh.entry(name).text), name
+
+    @pytest.mark.parametrize("lo, hi", [(5, 50), (329, 330), (999, 1000)])
+    def test_built_scripts_equal_their_parsed_text_at_large_numerals(self, registry, lo, hi):
+        for family in ("YJ", "YG", "YH"):
+            assert registry.mono_script(family, lo, hi) == parse_script(mono_instance(family, lo, hi))
+
+    def test_built_script_takes_checked_parameters(self, registry):
+        with pytest.raises(CorpusError):
+            registry.mono_script("YX", 0, 1)
+        with pytest.raises(CorpusError):
+            registry.mono_script("YJ", 2, 1)
+
+    def test_templates_are_parsed_once_per_family(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_script(text)
+
+        monkeypatch.setattr(corpus, "parse_script", counting)
+        results = Registry().check_all()
+        assert all(report.ok for _, report in results)
+        assert len(calls) <= len(KERNEL_ORDER) + len(META_ORDER) + 3
 
 
 class TestEverythingChecks:

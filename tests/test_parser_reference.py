@@ -43,7 +43,9 @@ def assert_same(kind: str, texts) -> None:
 @pytest.fixture(scope="module")
 def corpus_texts() -> dict[str, list[str]]:
     """The texts scripts.py hands the object parser while a Registry loads
-    and parses every script, in the order it hands them over."""
+    and every script's text is parsed, in the order it hands them over.  The
+    texts are parsed here, not through the Registry, which builds generated
+    scripts from one parsed template per family."""
     seen: dict[str, list[str]] = {"formula": [], "term": []}
 
     def recording(kind: str):
@@ -60,7 +62,7 @@ def corpus_texts() -> dict[str, list[str]]:
             mp.setattr(scripts, f"parse_{kind}", recording(kind))
         registry = Registry()
         for name in registry.names():
-            registry.script(name)
+            scripts.parse_script(registry.entry(name).text)
     return {kind: list(dict.fromkeys(texts)) for kind, texts in seen.items()}
 
 
