@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coding import NotACode, code_from_str, code_to_str, decode, encode, fix_intro
+from .coding import NotACode, code_from_str, code_to_str, decode, encode, fix_intro, trace_labels
 from .corpus import Registry
 from .gl import (
     GLBudgetExceeded,
@@ -165,7 +165,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
     print(f"fixed point:   {print_formula(result.fixed_point)}")
     print(f"code:          {code_to_str(encode(result.fixed_point))}")
     print(f"biconditional: {print_formula(result.biconditional)}")
-    print(f"trace:         {' -> '.join(label for label, _ in result.trace)}")
+    print(f"trace:         {' -> '.join(trace_labels(result.params))}")
     return 0
 
 

@@ -13,7 +13,10 @@ as the next numeral), which is harmless for a left inverse.
 A fixed point's trace of codes is built on first read and then cached on its
 DiagonalResult.  Codes double in bit length with each quotation level, and
 checking a script needs only the biconditional, so nothing on the checking
-path ever builds one; replay_trace and `yablo code diag` do.
+path ever builds one, and `yablo code diag` prints only the trace's labels
+(trace_labels), so it builds none either.  replay_trace builds the trace once:
+a trace nobody read before replay becomes the cached one, and a trace read
+before replay is compared, entry by entry, against the fresh build.
 """
 
 from __future__ import annotations
@@ -387,18 +390,18 @@ def _hole_positions(f: Formula, hole: str, under_box: bool, out: list[tuple[bool
             pass
 
 
+def trace_labels(params: tuple[str, ...]) -> tuple[str, ...]:
+    """The labels of a diagonal trace's checkpoints, in order."""
+    return ("template", "name", "biconditional",
+            *(f"probe {p}:=0" for p in params), "fixed-point")
+
+
 def _build_trace(template: Formula, hole: str, params: tuple[str, ...],
                  bicond: Formula, fixed_point: Formula) -> tuple[tuple[str, int], ...]:
     tcode = encode(template)
-    entries: list[tuple[str, int]] = [
-        ("template", tcode),
-        ("name", name_code(hole)),
-        ("biconditional", encode(bicond)),
-    ]
-    for p in params:
-        entries.append((f"probe {p}:=0", sub_code(tcode, p, 0)))
-    entries.append(("fixed-point", encode(fixed_point)))
-    return tuple(entries)
+    codes = [tcode, name_code(hole), encode(bicond),
+             *(sub_code(tcode, p, 0) for p in params), encode(fixed_point)]
+    return tuple(zip(trace_labels(params), codes))
 
 
 def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> DiagonalResult:
@@ -442,25 +445,28 @@ def replay_trace(result: DiagonalResult) -> bool:
 
     Raises DiagonalError on the first mismatch; substitution probes are
     checked both at the code level and through decode/substitute/encode.
-    The trace rebuilt here is never cached, so the comparison is against
-    codes computed afresh, whether or not result.trace was read before.
+    The trace is built here once.  When result.trace was never read, the
+    fresh build becomes the cached trace; when it was read before, it is
+    compared, entry by entry, against the fresh build.
     """
     expected = _build_trace(result.template, result.hole, result.params,
                             result.biconditional, result.fixed_point)
-    if len(expected) != len(result.trace):
+    trace = result.__dict__.setdefault("trace", expected)  # what reading .trace would store
+    if len(expected) != len(trace):
         raise DiagonalError("trace length mismatch")
-    for (lbl_e, code_e), (lbl_g, code_g) in zip(expected, result.trace):
+    for (lbl_e, code_e), (lbl_g, code_g) in zip(expected, trace):
         if lbl_e != lbl_g or code_e != code_g:
             raise DiagonalError(f"trace entry {lbl_g!r} does not replay")
     tcode = expected[0][1]  # the template's code, freshly rebuilt
     if decode(tcode) != result.template:
         raise DiagonalError("template code does not decode back")
+    probes = dict(expected)
     for p in result.params:
-        via_code = sub_code(tcode, p, 0)
+        via_code = probes[f"probe {p}:=0"]
         via_ast = encode(substitute_many(result.template, {p: Num(0)}))
         if via_code != via_ast:
             raise DiagonalError(f"substitution probe for {p} disagrees with the syntax route")
-    if result.trace[-1][1] != encode(result.fixed_point):
+    if trace[-1][1] != encode(result.fixed_point):
         raise DiagonalError("final trace entry is not the fixed point's code")
     if not alpha_eq(result.biconditional, iff(result.fixed_point, result.template)):
         raise DiagonalError("biconditional does not tie fixed point to template")

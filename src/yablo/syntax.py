@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -230,18 +231,20 @@ def term_vars(t: Term) -> set[str]:
             return set()
 
 
-def free_vars(f: Formula) -> set[str]:
+def free_vars(f: Formula, body_vars: Callable[[Formula], set[str]] | None = None) -> set[str]:
+    """The free variables of f; body_vars, when given, computes those of each
+    quantifier body (substitute_many passes a memo of its own)."""
     match f:
         case Falsum():
             return set()
         case Eq(l, r) | Lt(l, r):
             return term_vars(l) | term_vars(r)
         case Not(s):
-            return free_vars(s)
+            return free_vars(s, body_vars)
         case Imp(l, r) | And(l, r) | Or(l, r):
-            return free_vars(l) | free_vars(r)
+            return free_vars(l, body_vars) | free_vars(r, body_vars)
         case ForAll(v, b) | Exists(v, b):
-            return free_vars(b) - {v}
+            return (body_vars or free_vars)(b) - {v}
         case PredApp(_, args):
             out: set[str] = set()
             for a in args:
@@ -393,6 +396,16 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
     sigma = {v: t for v, t in sigma.items() if not (isinstance(t, Var) and t.name == v)}
     if not sigma:
         return f
+    memo: dict[int, tuple[Formula, set[str]]] = {}
+
+    def body_vars(b: Formula) -> set[str]:
+        """free_vars(b), computed once per quantifier body in this call.  The
+        entry keeps b alive so that its id is not reused; the set is shared
+        and never mutated."""
+        hit = memo.get(id(b))
+        if hit is None:
+            hit = memo[id(b)] = (b, free_vars(b, body_vars))
+        return hit[1]
 
     def go(g: Formula, sg: dict[str, Term]) -> Formula:
         if not sg:
@@ -417,7 +430,7 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
             case Box(tpl, subst):
                 return Box(tpl, tuple((v, substitute_term(t, sg)) for v, t in subst))
             case ForAll(v, b) | Exists(v, b):
-                inner = {w: t for w, t in sg.items() if w != v and w in free_vars(b)}
+                inner = {w: t for w, t in sg.items() if w != v and w in body_vars(b)}
                 cls = ForAll if isinstance(g, ForAll) else Exists
                 if not inner:
                     return cls(v, b)
@@ -425,7 +438,7 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
                 for t in inner.values():
                     clash |= term_vars(t)
                 if v in clash:
-                    avoid = clash | free_vars(b) | set(inner)
+                    avoid = clash | body_vars(b) | set(inner)
                     v2 = fresh_name(v, avoid)
                     b = go(b, {v: Var(v2)})
                     v = v2

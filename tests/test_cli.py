@@ -355,6 +355,18 @@ class TestCodeCommand:
         assert "biconditional:" in out
         assert "trace:" in out and "fixed-point" in out
 
+    def test_diag_prints_trace_labels_without_building_codes(self, capsys):
+        # the quotation's codes grow about threefold in cost per negation: a
+        # trace 9 deep takes several seconds to build, its labels none
+        for depth in (2, 9):
+            clause = f"D(k) := all x. (k < x) -> Prov[ {'~' * depth}self(x) ; x := x ]"
+            start = time.perf_counter()
+            assert run_cli("code", "diag", clause) == 0
+            assert time.perf_counter() - start < 5
+            trace_line = capsys.readouterr().out.splitlines()[-1]
+            assert trace_line == ("trace:         template -> name -> biconditional"
+                                  " -> probe k:=0 -> fixed-point")
+
     def test_diag_rejects_direct_self_reference(self, capsys):
         assert run_cli("code", "diag", "D(k) := self(k) -> k < 1") == 2
         assert "error" in capsys.readouterr().err

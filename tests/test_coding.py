@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astgen import VARS, rand_formula, sample_formulas
+from yablo import coding
 from yablo.coding import (
     TAG_EQ,
     TAG_FALSUM,
@@ -31,6 +32,7 @@ from yablo.coding import (
     pair,
     replay_trace,
     sub_code,
+    trace_labels,
     unpair,
 )
 from yablo.parser import parse_formula
@@ -295,3 +297,56 @@ class TestDiagonalization:
         probe_code = dict(result.trace)["probe k:=0"]
         assert probe_code == encode(substitute(template, "k", numeral(0)))
         assert "k" not in free_vars(decode(probe_code))
+
+
+def fresh_fix_intro() -> DiagonalResult:
+    """A fixed point whose trace nobody has read."""
+    return fix_intro(base_signature(), "H", ("k",), f("all x. k < x -> Prov[ ~self(x) ; x := x ]"))
+
+
+def trace_fields(result: DiagonalResult) -> tuple:
+    return (result.template, result.hole, result.params, result.biconditional, result.fixed_point)
+
+
+def tampered(result: DiagonalResult, label: str) -> DiagonalResult:
+    """A copy of result whose cached trace has the entry labelled label off by one."""
+    trace = tuple((lbl, code + 1 if lbl == label else code) for lbl, code in result.trace)
+    assert trace != result.trace
+    return with_trace(result, trace)
+
+
+class TestReplayBuildsOnce:
+    def test_replay_builds_the_trace_once_and_caches_it(self, monkeypatch):
+        calls = []
+        build = coding._build_trace
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(coding, "_build_trace", counted)
+        result = fresh_fix_intro()
+        assert replay_trace(result)
+        assert len(calls) == 1
+        assert result.trace == build(*trace_fields(result))
+        assert len(calls) == 1  # reading the trace after replay builds nothing more
+
+    def test_labels_have_one_source(self):
+        result = fresh_fix_intro()
+        assert tuple(label for label, _ in result.trace) == trace_labels(result.params)
+        assert trace_labels(("k", "m")) == (
+            "template", "name", "biconditional", "probe k:=0", "probe m:=0", "fixed-point")
+
+    @pytest.mark.parametrize("label", ["biconditional", "probe k:=0"])
+    def test_tampered_entry_read_before_replay_is_detected(self, label):
+        result = fresh_fix_intro()
+        with pytest.raises(DiagonalError, match="does not replay"):
+            replay_trace(tampered(result, label))
+
+    def test_reused_probe_is_checked_against_the_syntax_route(self, monkeypatch):
+        def wrong(code, var, n):
+            return sub_code(code, var, n) + 1
+
+        monkeypatch.setattr(coding, "sub_code", wrong)
+        with pytest.raises(DiagonalError, match="disagrees with the syntax route"):
+            replay_trace(fresh_fix_intro())

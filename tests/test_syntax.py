@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astgen import rand_formula, sample_formulas
+import reference_substitute as reference
+from astgen import VARS, rand_formula, rand_term, sample_formulas
+from yablo import syntax
 from yablo.parser import MAX_DEPTH, ParseError, parse_formula, parse_term
 from yablo.syntax import (
     And,
     Box,
+    Exists,
     Falsum,
     ForAll,
     Imp,
@@ -170,6 +173,47 @@ class TestSubstitution:
         g = f("(all x. x < k) & x < k")
         out = substitute(g, "x", numeral(2))
         assert out == f("(all x. x < k) & 2 < k")
+
+    def test_matches_the_unmemoized_reference(self, monkeypatch):
+        # nested binders over the variables the substituted terms mention, so
+        # that many substitutions capture and fresh_name picks new binders
+        renames = []
+        pick = syntax.fresh_name
+
+        def counted(base, avoid):
+            renames.append(base)
+            return pick(base, avoid)
+
+        monkeypatch.setattr(syntax, "fresh_name", counted)
+        fresh = [f"{v}0" for v in VARS]  # what fresh_name tries first, free in the body
+        rng = random.Random(20261019)
+        for _ in range(400):
+            keys = rng.sample(VARS, rng.randrange(1, 4))
+            others = [v for v in VARS if v not in keys]
+            g = rand_formula(rng, rng.randrange(3, 7), VARS + fresh)
+            for _ in range(rng.randrange(1, 5)):
+                g = (ForAll if rng.randrange(2) else Exists)(rng.choice(others), g)
+            sigma = {v: Plus(Var(rng.choice(others)), rand_term(rng, 1, VARS)) for v in keys}
+            assert substitute_many(g, sigma) == reference.substitute_many(g, sigma)
+        assert len(renames) > 50
+
+    def test_each_quantifier_body_is_scanned_once(self, monkeypatch):
+        # 200 nested binders over k < y: rescanning each body at its binder
+        # would visit about 200 * 200 / 2 nodes
+        visits = []
+        scan = syntax.free_vars
+
+        def counted(g, body_vars=None):
+            visits.append(g)
+            return scan(g, body_vars)
+
+        monkeypatch.setattr(syntax, "free_vars", counted)
+        g = Lt(Var("k"), Var("y"))
+        for i in range(200):
+            g = ForAll(f"y{i}", g)
+        out = substitute_many(g, {"k": numeral(0)})
+        assert len(visits) < 4 * 200
+        assert out == reference.substitute_many(g, {"k": numeral(0)})
 
     def test_fresh_name_avoids(self):
         assert fresh_name("x", {"x", "x0"}) == "x1"
