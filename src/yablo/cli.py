@@ -17,17 +17,10 @@ from pathlib import Path
 from . import __version__
 from .coding import NotACode, code_from_str, code_to_str, decode, encode, fix_intro, trace_labels
 from .corpus import Registry
-from .gl import (
-    GLBudgetExceeded,
-    ModalParseError,
-    brute_force,
-    decide_gl,
-    forces,
-    parse_modal,
-)
+from .gl import GLBudgetExceeded, brute_force, decide_gl, forces
 from .kernel import CheckReport, check_kernel_script
 from .meta import check_meta_script
-from .parser import ParseError, parse_formula
+from .parser import ParseError, parse_formula, parse_modal
 from .scripts import ScriptError, parse_definition, parse_script
 from .syntax import base_signature, print_formula
 
@@ -109,7 +102,7 @@ def _print_model(result) -> None:
 def _cmd_gl(args: argparse.Namespace) -> int:
     try:
         f = parse_modal(args.formula)
-    except ModalParseError as e:
+    except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

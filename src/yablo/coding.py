@@ -22,7 +22,6 @@ before replay is compared, entry by entry, against the fresh build.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +45,7 @@ from .syntax import (
     Term,
     Times,
     Var,
+    _no_digit_limit,
     alpha_eq,
     decimal,
     free_vars,
@@ -71,12 +71,8 @@ def code_from_str(s: str) -> int:
     """The code an ASCII decimal string spells, of any length."""
     if not (s.isascii() and s.isdigit()):
         raise ValueError(f"a code is written in ASCII digits only, not {s!r}")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _no_digit_limit():
         return int(s)
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------- pairing

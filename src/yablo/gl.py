@@ -6,6 +6,8 @@ diagonal collapse into the jump (the jumped-on box joins the premise on the
 left), and a brute-force search over small transitive irreflexive frames
 used to cross-check the tableau.  Skeleton extraction maps quantifier-free
 object formulas onto modal shapes so corpus lemmas can be replayed here.
+Only the concrete syntax is shared: `parser.parse_modal` reads modal
+formulas with the object language's lexer, and `print_modal` writes them.
 
 Termination of the tableau needs no loop check: boolean decomposition only
 shrinks the non-modal part, and each modal jump strictly grows the set of
@@ -72,10 +74,7 @@ def atoms_of(f: MFormula) -> frozenset[str]:
     return frozenset()
 
 
-# -- printing and parsing
-
-_PREC = {Imp: 1, Or: 2, And: 3}
-
+# -- printing
 
 def print_modal(f: MFormula, prec: int = 0) -> str:
     if isinstance(f, Atom):
@@ -89,112 +88,6 @@ def print_modal(f: MFormula, prec: int = 0) -> str:
     op, mine = {Imp: ("->", 1), Or: ("|", 2), And: ("&", 3)}[type(f)]
     s = f"{print_modal(f.left, mine + 1)} {op} {print_modal(f.right, mine)}"
     return f"({s})" if prec > mine else s
-
-
-class ModalParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (column {pos + 1})")
-        self.pos = pos
-
-
-MAX_DEPTH = 100
-
-
-def parse_modal(text: str) -> MFormula:
-    """The modal formula text spells.  Nesting is capped at MAX_DEPTH levels,
-    each `~`, `[]`, `(` and binary operator on the way in counting one, so
-    the tableau, brute force and printer stay within Python's stack; deeper
-    input raises ModalParseError at the token that crosses the cap."""
-    toks: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("[]", i):
-            toks.append(("box", "[]", i))
-            i += 2
-            continue
-        if text.startswith("->", i):
-            toks.append(("sym", "->", i))
-            i += 2
-            continue
-        if c in "~&|()":
-            toks.append(("sym", c, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ModalParseError(f"unexpected character {c!r}", i)
-    pos = 0
-
-    def peek() -> tuple[str, str, int] | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def eat(kind: str, value: str | None = None) -> tuple[str, str, int]:
-        nonlocal pos
-        t = peek()
-        if t is None or t[0] != kind or (value is not None and t[1] != value):
-            where = t[2] if t else len(text)
-            raise ModalParseError(f"expected {value or kind}", where)
-        pos += 1
-        return t
-
-    def enter(depth: int, kind: str, value: str | None = None) -> int:
-        """Eat the token that opens a subformula; its depth, within the cap."""
-        if depth >= MAX_DEPTH:
-            raise ModalParseError(f"nested deeper than {MAX_DEPTH} levels", toks[pos][2])
-        eat(kind, value)
-        return depth + 1
-
-    def imp(depth: int) -> MFormula:
-        left = disj(depth)
-        t = peek()
-        if t and t[:2] == ("sym", "->"):
-            return Imp(left, imp(enter(depth, "sym", "->")))
-        return left
-
-    def disj(depth: int) -> MFormula:
-        left = conj(depth)
-        while (t := peek()) and t[:2] == ("sym", "|"):
-            depth = enter(depth, "sym", "|")
-            left = Or(left, conj(depth))
-        return left
-
-    def conj(depth: int) -> MFormula:
-        left = unary(depth)
-        while (t := peek()) and t[:2] == ("sym", "&"):
-            depth = enter(depth, "sym", "&")
-            left = And(left, unary(depth))
-        return left
-
-    def unary(depth: int) -> MFormula:
-        t = peek()
-        if t is None:
-            raise ModalParseError("formula ends early", len(text))
-        if t[:2] == ("sym", "~"):
-            return Not(unary(enter(depth, "sym")))
-        if t[0] == "box":
-            return Box(unary(enter(depth, "box")))
-        if t[:2] == ("sym", "("):
-            inner = imp(enter(depth, "sym"))
-            eat("sym", ")")
-            return inner
-        if t[0] == "ident":
-            eat("ident")
-            return Falsum() if t[1] == "bot" else Atom(t[1])
-        raise ModalParseError(f"unexpected {t[1]!r}", t[2])
-
-    out = imp(0)
-    if pos < len(toks):
-        raise ModalParseError(f"trailing input {toks[pos][1]!r}", toks[pos][2])
-    return out
 
 
 # -- models

@@ -292,6 +292,20 @@ class BlockChecker:
             raise _Fail(f"cites step {ref}, which sits in a closed block")
         return rec
 
+    def cited(self, ref: int) -> Formula:
+        """The formula a rule may use from the step it cites."""
+        return self.get(ref).formula
+
+    def _one(self, step) -> Formula:
+        if len(step.refs) != 1:
+            raise _Fail(f"{step.rule} cites exactly one step")
+        return self.cited(step.refs[0])
+
+    def _two(self, step) -> tuple[Formula, Formula]:
+        if len(step.refs) != 2:
+            raise _Fail(f"{step.rule} cites exactly two steps")
+        return self.cited(step.refs[0]), self.cited(step.refs[1])
+
     def _record(self, index: int, formula: Formula | None, judgment: str = "") -> None:
         self.records[index] = _Record(formula, tuple(self.open_blocks), judgment)
 
@@ -609,16 +623,6 @@ class _KernelChecker(BlockChecker):
         fi = self._one(step)
         if not alpha_eq(step.formula, fi):
             raise _Fail("stated formula differs from the cited step")
-
-    def _one(self, step: KernelStep) -> Formula:
-        if len(step.refs) != 1:
-            raise _Fail(f"{step.rule} cites exactly one step")
-        return self.get(step.refs[0]).formula
-
-    def _two(self, step: KernelStep) -> tuple[Formula, Formula]:
-        if len(step.refs) != 2:
-            raise _Fail(f"{step.rule} cites exactly two steps")
-        return self.get(step.refs[0]).formula, self.get(step.refs[1]).formula
 
 
 def check_kernel_script(script: KernelScript, signature: Signature,

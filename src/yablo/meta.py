@@ -121,7 +121,8 @@ class _MetaChecker(BlockChecker):
 
     # -- access and well-formedness
 
-    def get_prv(self, ref: int) -> Formula:
+    def cited(self, ref: int) -> Formula:
+        """The formula of the cited step, which must be a Prv judgment."""
         rec = self.get(ref)
         if rec.judgment != "Prv":
             raise _Fail(f"step {ref} is not a Prv judgment")
@@ -152,10 +153,7 @@ class _MetaChecker(BlockChecker):
             raise _Fail(f"stated formula differs from the conclusion of {step.name}")
 
     def rule_m_mp(self, step: MetaStep) -> None:
-        if len(step.refs) != 2:
-            raise _Fail("m-mp cites exactly two steps")
-        fi = self.get_prv(step.refs[0])
-        fj = self.get_prv(step.refs[1])
+        fi, fj = self._two(step)
         if not isinstance(fi, Imp):
             raise _Fail("first cited judgment is not about an implication")
         if not alpha_eq(fj, fi.left):
@@ -166,7 +164,7 @@ class _MetaChecker(BlockChecker):
     def rule_m_inst(self, step: MetaStep) -> None:
         if len(step.refs) != 1 or not step.bindings:
             raise _Fail("m-inst cites one step and at least one binding")
-        fi = self.get_prv(step.refs[0])
+        fi = self.cited(step.refs[0])
         usable = self.usable_vars()
         for v, t in step.bindings:
             if not term_vars(t) <= usable:
@@ -176,9 +174,7 @@ class _MetaChecker(BlockChecker):
             raise _Fail("stated formula is not the cited judgment under the given bindings")
 
     def rule_m_refl1(self, step: MetaStep) -> None:
-        if len(step.refs) != 1:
-            raise _Fail("m-refl1 cites exactly one step")
-        fi = self.get_prv(step.refs[0])
+        fi = self._one(step)
         if not isinstance(fi, Box):
             raise _Fail("cited judgment is not a quotation")
         usable = self.usable_vars()
@@ -190,9 +186,7 @@ class _MetaChecker(BlockChecker):
             raise _Fail("stated formula is not the quoted instance")
 
     def rule_m_witness(self, step: MetaStep) -> None:
-        if len(step.refs) != 1:
-            raise _Fail("m-witness cites exactly one step")
-        fi = self.get_prv(step.refs[0])
+        fi = self._one(step)
         if not isinstance(fi, Exists):
             raise _Fail("cited judgment is not existential")
         body = fi.body
@@ -212,10 +206,7 @@ class _MetaChecker(BlockChecker):
         self.fresh[y] = tuple(self.open_blocks)
 
     def rule_m_con(self, step: MetaStep) -> None:
-        if len(step.refs) != 2:
-            raise _Fail("m-con cites exactly two steps")
-        fi = self.get_prv(step.refs[0])
-        fj = self.get_prv(step.refs[1])
+        fi, fj = self._two(step)
         clash = (isinstance(fj, Not) and alpha_eq(fj.sub, fi)) or (
             isinstance(fi, Not) and alpha_eq(fi.sub, fj)
         )
@@ -223,9 +214,7 @@ class _MetaChecker(BlockChecker):
             raise _Fail("cited judgments are not a formula and its negation")
 
     def rule_m_g2(self, step: MetaStep) -> None:
-        if len(step.refs) != 1:
-            raise _Fail("m-g2 cites exactly one step")
-        fi = self.get_prv(step.refs[0])
+        fi = self._one(step)
         if not alpha_eq(fi, PredApp("Con")):
             raise _Fail("cited judgment is not about the consistency sentence")
 
@@ -246,7 +235,7 @@ class _MetaChecker(BlockChecker):
             if not term_vars(t) <= usable:
                 raise _Fail(f"binding for {v} uses variables that are not schematic here")
         instance = substitute_many(concl, dict(step.bindings))
-        psi = self.get_prv(step.refs[0])
+        psi = self.cited(step.refs[0])
         if not alpha_eq(psi, instance):
             raise _Fail(f"cited Prv does not match the instantiated conclusion of {step.name}")
 

@@ -1,4 +1,4 @@
-"""Concrete syntax for terms and formulas.
+"""Concrete syntax for terms, formulas and the GL oracle's modal formulas.
 
 Grammar, loosest first: `->` then `|` then `&` (all right associative), then
 `~` and the quantifiers.  Comparisons bind tighter than connectives, `*`
@@ -14,11 +14,16 @@ Identifiers (`[A-Za-z][A-Za-z0-9_]*`) and numerals (`[0-9]+`) are ASCII; any
 other character outside whitespace is a parse error.  Nesting is capped at
 MAX_DEPTH levels: each `(`, `~`, quantifier, `S(`, `Prov[` and binary
 operator on the way into a subterm counts one, and so does each operator
-already consumed in a left-associative chain, so every later recursive walk
+consumed earlier in the same chain, so every later recursive walk
 of the tree stays well inside Python's stack.  Deeper input raises ParseError
 at the token that crosses the cap; the CLI exits 2 on it.  A numeral is one
 node of any size up to the interpreter's int-from-str digit limit (4300
 digits by default); a longer one is a parse error.
+
+Modal formulas (`parse_modal`) use the same tokens, precedence climbing,
+nesting cap and ParseError.  `->`, `|` and `&` are as above; `~`, the box
+`[]` (also written `[ ]`) and `(` each count one level; `bot` is falsum and
+any other identifier is an atom.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import re
 import sys
 
+from . import gl
 from .syntax import (
     And,
     Box,
@@ -61,6 +67,7 @@ _QUANTIFIERS = {"all": ForAll, "exists": Exists}
 # operator -> (precedence, right associative, constructor)
 _CONNECTIVES = {"->": (1, True, Imp), "|": (2, True, Or), "&": (3, True, And)}
 _TERM_OPS = {"+": (1, False, Plus), "*": (2, False, Times)}
+_MODAL_CONNECTIVES = {"->": (1, True, gl.Imp), "|": (2, True, gl.Or), "&": (3, True, gl.And)}
 
 
 class ParseError(ValueError):
@@ -237,9 +244,33 @@ class _Parser:
         raise ParseError("expected a term", pos)
 
 
-def _parse(src: str, start):
-    p = _Parser(src)
-    out = start(p, 0)
+class _ModalParser(_Parser):
+    """The GL oracle's formulas, on the object language's tokens."""
+
+    def modal(self, depth: int) -> gl.MFormula:
+        return self.binary(_MODAL_CONNECTIVES, self.modal_unary, 1, depth)
+
+    def modal_unary(self, depth: int) -> gl.MFormula:
+        kind, text, pos = self.toks[self.i]
+        if text == "~":
+            return gl.Not(self.modal_unary(self.enter(depth)))
+        if text == "[":
+            depth = self.enter(depth)
+            self.eat("]")
+            return gl.Box(self.modal_unary(depth))
+        if text == "(":
+            inner = self.modal(self.enter(depth))
+            self.eat(")")
+            return inner
+        if kind == "ident":
+            self.i += 1
+            return gl.Falsum() if text == "bot" else gl.Atom(text)
+        raise ParseError("expected a modal formula", pos)
+
+
+def _parse(p: _Parser, start):
+    """start's parse from depth 0, which must use up p's input."""
+    out = start(0)
     kind, text, pos = p.toks[p.i]
     if kind != "eof":
         raise ParseError(f"trailing input starting at {text!r}", pos)
@@ -247,8 +278,15 @@ def _parse(src: str, start):
 
 
 def parse_formula(src: str) -> Formula:
-    return _parse(src, _Parser.formula)
+    p = _Parser(src)
+    return _parse(p, p.formula)
 
 
 def parse_term(src: str) -> Term:
-    return _parse(src, _Parser.term)
+    p = _Parser(src)
+    return _parse(p, p.term)
+
+
+def parse_modal(src: str) -> gl.MFormula:
+    p = _ModalParser(src)
+    return _parse(p, p.modal)

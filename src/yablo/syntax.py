@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,14 +89,21 @@ def Zero() -> Num:
     return Num(0)
 
 
-def decimal(n: int) -> str:
-    """str(n), past the interpreter's int-to-str digit limit."""
+@contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's int/str digit limit for the block."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(n)
+        yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def decimal(n: int) -> str:
+    """str(n), past the interpreter's int-to-str digit limit."""
+    with _no_digit_limit():
+        return str(n)
 
 
 # ---------------------------------------------------------------- formulas

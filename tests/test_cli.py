@@ -1,13 +1,16 @@
 import json
+import random
+import re
 import time
 
 import pytest
+from modalgen import small_formulas
 
 from yablo.cli import main
 from yablo.coding import code_from_str, code_to_str, encode
 from yablo.corpus import mono_instance
-from yablo.gl import MAX_DEPTH as MODAL_MAX_DEPTH
 from yablo.gl import MAX_PATH as MODAL_MAX_PATH
+from yablo.gl import print_modal
 from yablo.parser import MAX_DEPTH, parse_formula
 
 
@@ -252,12 +255,12 @@ class TestGlCommand:
         assert "nested deeper than" in capsys.readouterr().err
 
     def test_nesting_at_the_cap_is_decided(self, capsys):
-        assert run_cli("gl", "~" * MODAL_MAX_DEPTH + "p") == 1
+        assert run_cli("gl", "~" * MAX_DEPTH + "p") == 1
         assert "replay: confirmed" in capsys.readouterr().out
 
     def test_nested_boxes_at_the_cap_replay(self, capsys):
         start = time.perf_counter()
-        assert run_cli("gl", "[]" * MODAL_MAX_DEPTH + "p") == 1
+        assert run_cli("gl", "[]" * MAX_DEPTH + "p") == 1
         assert time.perf_counter() - start < 5
         assert "replay: confirmed" in capsys.readouterr().out
 
@@ -286,6 +289,30 @@ class TestGlCommand:
         deep = "[]([]([]([]p -> p) -> []p) -> q) -> ([]q | [](q -> p))"
         assert run_cli("gl", "--budget", "3", deep) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_token_edits_exit_0_1_or_2(self, capsys):
+        # seeded single-token insertions, deletions and replacements of every
+        # printed formula of at most five nodes; an edited token is set off by
+        # spaces, so it never merges with a neighbour
+        piece = re.compile(r"->|\[\]|[A-Za-z0-9_]+|\S")
+        vocabulary = ["p", "q", "bot", "~", "[]", "[", "]", "(", ")", "->", "&", "|",
+                      "-", ">", "_a", "\u00e4", "7", "all", ".", "$"]
+        texts = [print_modal(g) for g in small_formulas(5)]
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(2000):
+            text = rng.choice(texts)
+            start, end = rng.choice([m.span() for m in piece.finditer(text)])
+            how = rng.randrange(3)
+            token = "" if how == 1 else rng.choice(vocabulary)
+            edited = f"{text[:start]} {token} {text[start if how == 0 else end:]}"
+            began = time.perf_counter()
+            code = run_cli("gl", "--", edited)
+            assert code in (0, 1, 2), edited
+            assert time.perf_counter() - began < 2, edited
+            seen.add(code)
+            capsys.readouterr()
+        assert seen == {0, 1, 2}
 
 
 class TestCodeCommand:

@@ -5,13 +5,12 @@ import pytest
 import reference_brute_force as reference
 from modalgen import random_formula, small_formulas
 from yablo.gl import (
+    And,
     Atom,
     Box,
     Falsum,
     GLBudgetExceeded,
-    MAX_DEPTH,
     KripkeModel,
-    ModalParseError,
     ModelError,
     Not,
     NotSkeletonizable,
@@ -20,11 +19,10 @@ from yablo.gl import (
     brute_force,
     decide_gl,
     forces,
-    parse_modal,
     print_modal,
     skeleton,
 )
-from yablo.parser import parse_formula
+from yablo.parser import MAX_DEPTH, ParseError, parse_formula, parse_modal
 
 VALID = [
     "[]([]p -> p) -> []p",            # the characteristic scheme
@@ -53,8 +51,26 @@ def m(text: str):
 
 class TestModalSyntax:
     def test_parse_print_round_trip_exhaustive(self):
-        for g in small_formulas(4):
+        for g in small_formulas(5):
             assert parse_modal(print_modal(g)) == g
+
+    def test_parse_print_round_trip_random(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            g = random_formula(rng, ("p", "q", "r"), rng.randrange(40, 141))
+            assert parse_modal(print_modal(g)) == g
+
+    def test_chains_associate_to_the_right(self):
+        assert m("p & q & r") == m("p & (q & r)")
+        assert m("p | q | r") == m("p | (q | r)")
+        assert m("p -> q -> r") == m("p -> (q -> r)")
+
+    def test_object_language_tokens(self):
+        assert m("[ ]p") == Box(Atom("p"))
+        assert m("[]p_1 & bot") == And(Box(Atom("p_1")), Falsum())
+        for bad in ("_a", "\u00e4", "p & \u00e4", "[p]", "1", "p."):
+            with pytest.raises(ParseError):
+                parse_modal(bad)
 
     def test_precedence(self):
         assert m("[]p -> q & r") == m("([]p) -> (q & r)")
@@ -66,17 +82,17 @@ class TestModalSyntax:
 
     def test_parse_errors(self):
         for bad in ("p ->", "[p", "", "p @ q", "(p"):
-            with pytest.raises(ModalParseError):
+            with pytest.raises(ParseError):
                 parse_modal(bad)
 
     def test_nesting_cap(self):
         for opener in ("~", "[]", "("):
             text = opener * MAX_DEPTH + "p" + ")" * MAX_DEPTH * (opener == "(")
             assert parse_modal(text)
-            with pytest.raises(ModalParseError, match="nested deeper") as e:
+            with pytest.raises(ParseError, match="nested deeper") as e:
                 parse_modal(opener + text + ")" * (opener == "("))
             assert e.value.pos == MAX_DEPTH * len(opener)
-        with pytest.raises(ModalParseError, match="nested deeper") as e:
+        with pytest.raises(ParseError, match="nested deeper") as e:
             parse_modal("p | " * (MAX_DEPTH + 1) + "p")
         assert e.value.pos == 4 * MAX_DEPTH + 2
 
