@@ -14,9 +14,11 @@ A fixed point's trace of codes is built on first read and then cached on its
 DiagonalResult.  Codes double in bit length with each quotation level, and
 checking a script needs only the biconditional, so nothing on the checking
 path ever builds one, and `yablo code diag` prints only the trace's labels
-(trace_labels), so it builds none either.  replay_trace builds the trace once:
-a trace nobody read before replay becomes the cached one, and a trace read
-before replay is compared, entry by entry, against the fresh build.
+(trace_labels), so it builds none either.  replay_trace builds each code it
+checks once: the template's, the name, each probe and the fixed point's.  The
+biconditional's code, about 16 times the template's in bits, is built only to
+compare a trace that was read before replay, entry by entry; an unread trace
+stays unread, and its biconditional is checked as a formula.
 """
 
 from __future__ import annotations
@@ -353,7 +355,8 @@ class DiagonalResult:
     never mentions the hole).  biconditional is the definitional equivalence.
     trace is a replayable tuple of (label, code) checkpoints tying the
     construction to the numeric coding; it is built on first read and then
-    cached on this result.
+    cached on this result.  Only that read builds the biconditional's code:
+    replay_trace neither fills the cache nor needs it.
     """
 
     hole: str
@@ -392,12 +395,22 @@ def trace_labels(params: tuple[str, ...]) -> tuple[str, ...]:
             *(f"probe {p}:=0" for p in params), "fixed-point")
 
 
+def _checked_codes(template: Formula, hole: str, params: tuple[str, ...],
+                   fixed_point: Formula) -> dict[str, int]:
+    """A diagonal trace's codes by label, all but the biconditional's: the
+    codes replay checks."""
+    tcode = encode(template)
+    first, name, _, *probes, last = trace_labels(params)
+    return {first: tcode, name: name_code(hole),
+            **{label: sub_code(tcode, p, 0) for label, p in zip(probes, params)},
+            last: encode(fixed_point)}
+
+
 def _build_trace(template: Formula, hole: str, params: tuple[str, ...],
                  bicond: Formula, fixed_point: Formula) -> tuple[tuple[str, int], ...]:
-    tcode = encode(template)
-    codes = [tcode, name_code(hole), encode(bicond),
-             *(sub_code(tcode, p, 0) for p in params), encode(fixed_point)]
-    return tuple(zip(trace_labels(params), codes))
+    codes = _checked_codes(template, hole, params, fixed_point)
+    return tuple((label, codes[label] if label in codes else encode(bicond))
+                 for label in trace_labels(params))
 
 
 def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> DiagonalResult:
@@ -437,32 +450,35 @@ def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> Diagon
 
 
 def replay_trace(result: DiagonalResult) -> bool:
-    """Recompute every checkpoint of a diagonal trace from scratch.
+    """Check a diagonal construction against the numeric coding, from scratch.
 
-    Raises DiagonalError on the first mismatch; substitution probes are
-    checked both at the code level and through decode/substitute/encode.
-    The trace is built here once.  When result.trace was never read, the
-    fresh build becomes the cached trace; when it was read before, it is
-    compared, entry by entry, against the fresh build.
+    Raises DiagonalError on the first mismatch.  The template's code must
+    decode back to the template, each substitution probe must agree with
+    decode/substitute/encode's route, the fixed point's code must decode to
+    the fixed point, and the biconditional must be alpha-equivalent to
+    iff(fixed_point, template).  Each code is built once.  A trace read (or
+    seeded) before replay is also compared, entry by entry, against a fresh
+    build, the biconditional's code included; an unread trace stays unread,
+    so replay builds no biconditional code and leaves the cache empty.
     """
-    expected = _build_trace(result.template, result.hole, result.params,
-                            result.biconditional, result.fixed_point)
-    trace = result.__dict__.setdefault("trace", expected)  # what reading .trace would store
-    if len(expected) != len(trace):
-        raise DiagonalError("trace length mismatch")
-    for (lbl_e, code_e), (lbl_g, code_g) in zip(expected, trace):
-        if lbl_e != lbl_g or code_e != code_g:
-            raise DiagonalError(f"trace entry {lbl_g!r} does not replay")
-    tcode = expected[0][1]  # the template's code, freshly rebuilt
-    if decode(tcode) != result.template:
+    if "trace" in result.__dict__:  # read before replay: compare it whole
+        expected = _build_trace(result.template, result.hole, result.params,
+                                result.biconditional, result.fixed_point)
+        if len(expected) != len(result.trace):
+            raise DiagonalError("trace length mismatch")
+        for (lbl_e, code_e), (lbl_g, code_g) in zip(expected, result.trace):
+            if lbl_e != lbl_g or code_e != code_g:
+                raise DiagonalError(f"trace entry {lbl_g!r} does not replay")
+        codes = dict(expected)
+    else:
+        codes = _checked_codes(result.template, result.hole, result.params, result.fixed_point)
+    first, _, _, *probes, last = trace_labels(result.params)
+    if decode(codes[first]) != result.template:
         raise DiagonalError("template code does not decode back")
-    probes = dict(expected)
-    for p in result.params:
-        via_code = probes[f"probe {p}:=0"]
-        via_ast = encode(substitute_many(result.template, {p: Num(0)}))
-        if via_code != via_ast:
+    for label, p in zip(probes, result.params):
+        if codes[label] != encode(substitute_many(result.template, {p: Num(0)})):
             raise DiagonalError(f"substitution probe for {p} disagrees with the syntax route")
-    if trace[-1][1] != encode(result.fixed_point):
+    if decode(codes[last]) != result.fixed_point:
         raise DiagonalError("final trace entry is not the fixed point's code")
     if not alpha_eq(result.biconditional, iff(result.fixed_point, result.template)):
         raise DiagonalError("biconditional does not tie fixed point to template")

@@ -174,10 +174,6 @@ class _Tree:
     children: tuple["_Tree", ...]
 
 
-def _sort_key(f: MFormula) -> str:
-    return print_modal(f)
-
-
 # Non-branching rules run in a loop; only splits and modal jumps nest, two
 # stack frames each, so a path of MAX_PATH of them stays inside Python's
 # default recursion limit.
@@ -190,6 +186,16 @@ class _Search:
         self.visited = 0
         self.depth = 0
         self.memo: dict[tuple[frozenset, frozenset], bool | _Tree] = {}
+        # each node's printed form, the order rules are tried in; every node
+        # sorted is a subformula of the root, which outlives the search
+        self.keys: dict[int, str] = {}
+
+    def _sorted(self, fs: frozenset) -> list[MFormula]:
+        keys = self.keys
+        for f in fs:
+            if id(f) not in keys:
+                keys[id(f)] = print_modal(f)
+        return sorted(fs, key=lambda f: keys[id(f)])
 
     def solve(self, gamma: frozenset, delta: frozenset) -> bool | _Tree:
         """The outcome of the sequent: True, or the tree of a countermodel.
@@ -220,7 +226,7 @@ class _Search:
         rule, for solve to continue with."""
         if gamma & delta or Falsum() in gamma:
             return True
-        for f in sorted(gamma, key=_sort_key):
+        for f in self._sorted(gamma):
             if isinstance(f, Not):
                 return gamma - {f}, delta | {f.sub}
             if isinstance(f, And):
@@ -235,7 +241,7 @@ class _Search:
                 if first is not True:
                     return first
                 return self.solve(gamma - {f} | {f.right}, delta)
-        for f in sorted(delta, key=_sort_key):
+        for f in self._sorted(delta):
             if isinstance(f, Falsum):
                 return gamma, delta - {f}
             if isinstance(f, Not):
@@ -254,7 +260,7 @@ class _Search:
         boxed_left = frozenset(
             x for b in gamma if isinstance(b, Box) for x in (b, b.sub)
         )
-        for f in sorted(delta, key=_sort_key):
+        for f in self._sorted(delta):
             if isinstance(f, Box):
                 premise = self.solve(boxed_left | {f}, frozenset({f.sub}))
                 if premise is True:

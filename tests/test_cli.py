@@ -244,6 +244,26 @@ class TestGlCommand:
         assert "budget" in capsys.readouterr().err
         assert time.perf_counter() - start < 10
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (("--budget", "0", "p"), 2, "sequent budget of 0 exhausted"),
+        (("--budget", "-5", "p"), 2, "sequent budget of -5 exhausted"),
+        (("--budget", "99999999999999999999", "p -> p"), 0, ""),
+        (("--brute", "0", "p"), 2, "expected a positive integer"),
+        (("--brute", "7", "p -> p"), 2, "(frame, valuation) pairs"),
+        (("--brute", "100", "bot -> bot"), 2, "(frame, valuation) pairs"),
+        (("--brute", "99999999999999999999", "p"), 1, ""),
+        (("--brute", "99999999999999999999", "p -> p"), 2, "(frame, valuation) pairs"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_extreme_search_bounds_exit_promptly(self, argv, code, message, capsys):
+        start = time.perf_counter()
+        try:
+            got = run_cli("gl", *argv)
+        except SystemExit as e:  # argparse rejects the value
+            got = e.code
+        assert got == code
+        assert time.perf_counter() - start < 10
+        assert message in capsys.readouterr().err
+
     def test_parse_error(self, capsys):
         assert run_cli("gl", "p -> ->") == 2
         assert "error" in capsys.readouterr().err

@@ -316,7 +316,7 @@ def tampered(result: DiagonalResult, label: str) -> DiagonalResult:
 
 
 class TestReplayBuildsOnce:
-    def test_replay_builds_the_trace_once_and_caches_it(self, monkeypatch):
+    def test_replay_of_an_unread_trace_builds_no_trace(self, monkeypatch):
         calls = []
         build = coding._build_trace
 
@@ -327,9 +327,47 @@ class TestReplayBuildsOnce:
         monkeypatch.setattr(coding, "_build_trace", counted)
         result = fresh_fix_intro()
         assert replay_trace(result)
-        assert len(calls) == 1
+        assert calls == []
+        assert "trace" not in result.__dict__  # replay leaves the cache empty
         assert result.trace == build(*trace_fields(result))
-        assert len(calls) == 1  # reading the trace after replay builds nothing more
+        assert len(calls) == 1  # the read builds it, once
+        assert result.trace == build(*trace_fields(result))
+        assert len(calls) == 1
+
+    def test_replay_of_an_unread_trace_encodes_no_biconditional(self, monkeypatch):
+        result = fresh_fix_intro()
+        bicond = result.biconditional
+        encoded = []
+        real = coding.encode
+
+        def spy(g):
+            encoded.append(g)
+            return real(g)
+
+        monkeypatch.setattr(coding, "encode", spy)
+        assert replay_trace(result)
+        assert encoded
+        assert not any(g == bicond or g == bicond.left or g == bicond.right for g in encoded)
+
+    def test_replay_codes_stay_near_the_template_size(self, monkeypatch):
+        # five negations deep the biconditional's code is about 16 times the
+        # template's in bits; replaying an unread trace builds nothing that big
+        result = fix_intro(base_signature(), "D", ("k",),
+                           f("all x. (k < x) -> Prov[ ~~~~~self(x) ; x := x ]"))
+        template_bits = encode(result.template).bit_length()
+        widest = 0
+        real = coding.pair
+
+        def spy(a, b):
+            nonlocal widest
+            out = real(a, b)
+            widest = max(widest, out.bit_length())
+            return out
+
+        monkeypatch.setattr(coding, "pair", spy)
+        assert replay_trace(result)
+        assert template_bits <= widest <= 2 * template_bits
+        assert encode(result.biconditional).bit_length() > 8 * template_bits
 
     def test_labels_have_one_source(self):
         result = fresh_fix_intro()
@@ -350,3 +388,23 @@ class TestReplayBuildsOnce:
         monkeypatch.setattr(coding, "sub_code", wrong)
         with pytest.raises(DiagonalError, match="disagrees with the syntax route"):
             replay_trace(fresh_fix_intro())
+
+    def test_wrong_fixed_point_code_is_detected(self, monkeypatch):
+        result = fresh_fix_intro()
+        real = coding.encode
+
+        def wrong(g):
+            return real(Falsum()) if g == result.fixed_point else real(g)
+
+        monkeypatch.setattr(coding, "encode", wrong)
+        with pytest.raises(DiagonalError, match="not the fixed point's code"):
+            replay_trace(result)
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_biconditional_that_does_not_tie_is_detected(self, read):
+        result = fresh_fix_intro()
+        swapped = dataclasses.replace(result, biconditional=iff(result.template, Falsum()))
+        if read:
+            swapped.trace
+        with pytest.raises(DiagonalError, match="does not tie"):
+            replay_trace(swapped)

@@ -3,7 +3,7 @@ from importlib import resources
 import pytest
 
 from yablo import coding, corpus
-from yablo.coding import code_from_str, encode, fix_intro, replay_trace
+from yablo.coding import code_from_str, encode, fix_intro
 from yablo.corpus import (
     KERNEL_ORDER,
     META_ORDER,
@@ -204,7 +204,7 @@ class TestCheckingBuildsNoTrace:
         for name in fresh.names():
             assert fresh.check(name).ok, name
         assert golden_codes(fresh)
-        # the patch is live: replaying a fixed point does build its trace
+        # the patch is live: reading a fixed point's trace does build it
         result = fix_intro(base_signature(), "H", ("k",), f("all x. k < x -> Prov[ ~self(x) ; x := x ]"))
         with pytest.raises(TraceBuilt):
-            replay_trace(result)
+            result.trace

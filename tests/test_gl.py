@@ -4,6 +4,7 @@ import pytest
 
 import reference_brute_force as reference
 from modalgen import random_formula, small_formulas
+from yablo import gl
 from yablo.gl import (
     And,
     Atom,
@@ -145,6 +146,24 @@ class TestTableau:
         deep = m("[]([]([]([]p -> p) -> []p) -> q) -> ([]q | [](q -> p))")
         with pytest.raises(GLBudgetExceeded):
             decide_gl(deep, budget=3)
+
+    def test_each_node_is_printed_once_per_search(self, monkeypatch):
+        # rules are tried in the printed order of a sequent's formulas;
+        # printing each formula anew at every sequent made about 354 k
+        # print_modal calls on this chain, printing each node once about 5 k
+        calls = 0
+        real = gl.print_modal
+
+        def counted(f, prec=0):
+            nonlocal calls
+            calls += 1
+            return real(f, prec)
+
+        monkeypatch.setattr(gl, "print_modal", counted)
+        result = decide_gl(m("[]" * 100 + "p"))
+        assert not result.valid
+        assert result.visited == 101
+        assert calls < 20_000
 
 
 class TestBruteForce:
