@@ -4,7 +4,7 @@ Exit codes are uniform across subcommands: 0 when the input is accepted
 (script checks, formula is valid, coding succeeds), 1 when the input is
 well-formed but rejected (a failed check, an invalid formula), and 2 when
 the input cannot be processed at all (unreadable file, parse error,
-exhausted search budget).
+exhausted search budget, a code over its size limit).
 """
 
 from __future__ import annotations
@@ -15,14 +15,24 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coding import NotACode, code_from_str, code_to_str, decode, encode, fix_intro, trace_labels
+from .coding import (
+    MAX_CODE_BITS,
+    NotACode,
+    code_bits,
+    code_from_str,
+    code_to_str,
+    decode,
+    encode,
+    fix_intro,
+    trace_labels,
+)
 from .corpus import Registry
 from .gl import GLBudgetExceeded, brute_force, decide_gl, forces
 from .kernel import CheckReport, check_kernel_script
 from .meta import check_meta_script
 from .parser import ParseError, parse_formula, parse_modal
 from .scripts import ScriptError, parse_definition, parse_script
-from .syntax import base_signature, print_formula
+from .syntax import Formula, base_signature, print_formula
 
 
 def _report_lines(name: str, kind: str, rep: CheckReport) -> list[str]:
@@ -129,12 +139,24 @@ def _cmd_gl(args: argparse.Namespace) -> int:
     return 1
 
 
+def _over_budget(f: Formula) -> bool:
+    """Whether f's code could outgrow MAX_CODE_BITS; if so, says so on stderr."""
+    bits = code_bits(f)
+    if bits <= MAX_CODE_BITS:
+        return False
+    print(f"error: the code could take up to {bits} bits, over the limit of {MAX_CODE_BITS}",
+          file=sys.stderr)
+    return True
+
+
 def _cmd_code(args: argparse.Namespace) -> int:
     if args.what == "encode":
         try:
             f = parse_formula(args.value)
         except ParseError as e:
             print(f"error: {e}", file=sys.stderr)
+            return 2
+        if _over_budget(f):
             return 2
         print(code_to_str(encode(f)))
         return 0
@@ -154,6 +176,8 @@ def _cmd_code(args: argparse.Namespace) -> int:
         result = fix_intro(sig, d.name, d.params, d.body)
     except (ScriptError, ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    if _over_budget(result.fixed_point):
         return 2
     print(f"fixed point:   {print_formula(result.fixed_point)}")
     print(f"code:          {code_to_str(encode(result.fixed_point))}")

@@ -19,13 +19,20 @@ checks once: the template's, the name, each probe and the fixed point's.  The
 biconditional's code, about 16 times the template's in bits, is built only to
 compare a trace that was read before replay, entry by entry; an unread trace
 stays unread, and its biconditional is checked as a formula.
+
+Reading a code back is almost all of a replay's cost, and most of that is the
+integer square root in unpair.  decode and sub_code read codes through a split
+function: unpair itself when called on their own, and within replay_trace a
+memo of unpair that lives for that call only, so replay unpairs each code
+once, and the template's decode-back check and every probe share the work.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .syntax import (
     And,
@@ -161,6 +168,10 @@ TAG_BOX = 16
 
 _NIL = 0
 
+# How a reader of codes unpairs them: unpair itself, or, where one call reads
+# the same code more than once, a memo of it that lives as long as that call.
+Split = Callable[[int], tuple[int, int]]
+
 
 def _cons_list(codes: list[int]) -> int:
     out = _NIL
@@ -169,10 +180,10 @@ def _cons_list(codes: list[int]) -> int:
     return out
 
 
-def _uncons_list(code: int) -> list[int]:
+def _uncons_list(code: int, split: Split) -> list[int]:
     out: list[int] = []
     while code != _NIL:
-        head, code = unpair(code)
+        head, code = split(code)
         out.append(head)
     return out
 
@@ -220,18 +231,86 @@ def encode(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# ---------------------------------------------------------------- code sizes
+
+# A code's bit length about doubles with each level of nesting, and printing
+# it in decimal is quadratic in that length: 2^20 bits print in about 1.5 s
+# (CPython 3.11, 2 vCPU).  code_bits can overshoot a deep code about twofold.
+MAX_CODE_BITS = 1 << 20
+_TAG_BITS = TAG_BOX.bit_length()  # the widest tag
+
+
+def _pair_bits(a: int, b: int) -> int:
+    """A bound on pair(x, y).bit_length() from bounds a and b on x's and
+    y's: with m = max(a, b), x + y < 2^(m+1), so pair(x, y) < 2^(2m+1)."""
+    return 2 * max(a, b) + 2
+
+
+def _list_bits(bits: list[int]) -> int:
+    out = _NIL.bit_length()
+    for b in reversed(bits):
+        out = _pair_bits(b, out)
+    return out
+
+
+def _term_bits(t: Term) -> int:
+    match t:
+        case Num(n):
+            payload = n.bit_length()
+        case Var(name):
+            payload = name_code(name).bit_length()
+        case Succ(a):
+            payload = _term_bits(a)
+        case Plus(l, r) | Times(l, r):
+            payload = _pair_bits(_term_bits(l), _term_bits(r))
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    return _pair_bits(_TAG_BITS, payload)
+
+
+def code_bits(f: Formula) -> int:
+    """An upper bound on encode(f).bit_length(), found from f's shape without
+    pairing anything, so it costs time linear in f's size."""
+    match f:
+        case Falsum():
+            payload = 0
+        case Eq(l, r) | Lt(l, r):
+            payload = _pair_bits(_term_bits(l), _term_bits(r))
+        case Not(s):
+            payload = code_bits(s)
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            payload = _pair_bits(code_bits(l), code_bits(r))
+        case ForAll(v, b) | Exists(v, b):
+            payload = _pair_bits(name_code(v).bit_length(), code_bits(b))
+        case PredApp(name, args):
+            payload = _pair_bits(name_code(name).bit_length(), _list_bits([_term_bits(a) for a in args]))
+        case Box(tpl, subst):
+            entries = _list_bits([_pair_bits(name_code(v).bit_length(), _term_bits(t)) for v, t in subst])
+            payload = _pair_bits(code_bits(tpl), entries)
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    return _pair_bits(_TAG_BITS, payload)
+
+
+# ---------------------------------------------------------------- decoding
+
+
 def decode_term(code: int) -> Term:
-    tag, payload = unpair(code)
+    return _decode_term(code, unpair)
+
+
+def _decode_term(code: int, split: Split) -> Term:
+    tag, payload = split(code)
     if tag == TAG_NUM:
         return Num(payload)
     if tag == TAG_VAR:
         return _decoded_var(payload)
     if tag == TAG_SUCC:
-        return Succ(decode_term(payload))
+        return Succ(_decode_term(payload, split))
     if tag in (TAG_PLUS, TAG_TIMES):
-        l, r = unpair(payload)
+        l, r = split(payload)
         cls = Plus if tag == TAG_PLUS else Times
-        return cls(decode_term(l), decode_term(r))
+        return cls(_decode_term(l, split), _decode_term(r, split))
     raise NotACode(f"tag {_digits(tag)} is not a term tag")
 
 
@@ -244,40 +323,44 @@ def _decoded_var(name_payload: int) -> Var:
 
 
 def decode(code: int) -> Formula:
-    tag, payload = unpair(code)
+    return _decode(code, unpair)
+
+
+def _decode(code: int, split: Split) -> Formula:
+    tag, payload = split(code)
     if tag == TAG_FALSUM:
         if payload != 0:
             raise NotACode("falsum carries a payload")
         return Falsum()
     if tag in (TAG_EQ, TAG_LT):
-        l, r = unpair(payload)
+        l, r = split(payload)
         cls = Eq if tag == TAG_EQ else Lt
-        return cls(decode_term(l), decode_term(r))
+        return cls(_decode_term(l, split), _decode_term(r, split))
     if tag == TAG_NOT:
-        return Not(decode(payload))
+        return Not(_decode(payload, split))
     if tag in (TAG_IMP, TAG_AND, TAG_OR):
-        l, r = unpair(payload)
+        l, r = split(payload)
         cls = {TAG_IMP: Imp, TAG_AND: And, TAG_OR: Or}[tag]
-        return cls(decode(l), decode(r))
+        return cls(_decode(l, split), _decode(r, split))
     if tag in (TAG_FORALL, TAG_EXISTS):
-        v, b = unpair(payload)
+        v, b = split(payload)
         cls = ForAll if tag == TAG_FORALL else Exists
-        return cls(_decoded_var(v).name, decode(b))
+        return cls(_decoded_var(v).name, _decode(b, split))
     if tag == TAG_PRED:
-        nm, args = unpair(payload)
+        nm, args = split(payload)
         name = decode_name(nm)
         try:
-            return PredApp(name, tuple(decode_term(a) for a in _uncons_list(args)))
+            return PredApp(name, tuple(_decode_term(a, split) for a in _uncons_list(args, split)))
         except SyntaxBuildError as e:
             raise NotACode(str(e)) from None
     if tag == TAG_BOX:
-        tpl, entries = unpair(payload)
+        tpl, entries = split(payload)
         pairs = []
-        for e in _uncons_list(entries):
-            v, t = unpair(e)
-            pairs.append((_decoded_var(v).name, decode_term(t)))
+        for e in _uncons_list(entries, split):
+            v, t = split(e)
+            pairs.append((_decoded_var(v).name, _decode_term(t, split)))
         try:
-            return Box(decode(tpl), tuple(pairs))
+            return Box(_decode(tpl, split), tuple(pairs))
         except SyntaxBuildError as e:
             raise NotACode(str(e)) from None
     raise NotACode(f"tag {_digits(tag)} is not a formula tag")
@@ -301,38 +384,42 @@ def sub_code(code: int, var: str, n: int) -> int:
     binders for the substituted variable shadow it.  Quotation templates are
     untouched; only their substitution ranges are rewritten.
     """
+    return _sub_code(code, var, n, unpair)
+
+
+def _sub_code(code: int, var: str, n: int, split: Split) -> int:
     vcode = name_code(var)
 
     def go(k: int) -> int:
-        tag, payload = unpair(k)
+        tag, payload = split(k)
         if tag in (TAG_NUM, TAG_FALSUM):
             return k
         if tag == TAG_VAR:
             return pair(TAG_NUM, n) if payload == vcode else k
         if tag == TAG_SUCC:
             inner = go(payload)
-            itag, ival = unpair(inner)
+            itag, ival = split(inner)
             if itag == TAG_NUM:
                 return pair(TAG_NUM, ival + 1)
             return pair(TAG_SUCC, inner)
         if tag in (TAG_PLUS, TAG_TIMES, TAG_EQ, TAG_LT, TAG_IMP, TAG_AND, TAG_OR):
-            l, r = unpair(payload)
+            l, r = split(payload)
             return pair(tag, pair(go(l), go(r)))
         if tag == TAG_NOT:
             return pair(tag, go(payload))
         if tag in (TAG_FORALL, TAG_EXISTS):
-            v, b = unpair(payload)
+            v, b = split(payload)
             if v == vcode:
                 return k
             return pair(tag, pair(v, go(b)))
         if tag == TAG_PRED:
-            nm, args = unpair(payload)
-            return pair(tag, pair(nm, _cons_list([go(a) for a in _uncons_list(args)])))
+            nm, args = split(payload)
+            return pair(tag, pair(nm, _cons_list([go(a) for a in _uncons_list(args, split)])))
         if tag == TAG_BOX:
-            tpl, entries = unpair(payload)
+            tpl, entries = split(payload)
             new = []
-            for e in _uncons_list(entries):
-                v, t = unpair(e)
+            for e in _uncons_list(entries, split):
+                v, t = split(e)
                 new.append(pair(v, go(t)))
             return pair(tag, pair(tpl, _cons_list(new)))
         raise NotACode(f"tag {_digits(tag)} is not a node tag")
@@ -396,21 +483,28 @@ def trace_labels(params: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _checked_codes(template: Formula, hole: str, params: tuple[str, ...],
-                   fixed_point: Formula) -> dict[str, int]:
+                   fixed_point: Formula, split: Split) -> dict[str, int]:
     """A diagonal trace's codes by label, all but the biconditional's: the
-    codes replay checks."""
+    codes replay checks.  Every probe reads the template's code through
+    split."""
     tcode = encode(template)
     first, name, _, *probes, last = trace_labels(params)
     return {first: tcode, name: name_code(hole),
-            **{label: sub_code(tcode, p, 0) for label, p in zip(probes, params)},
+            **{label: _sub_code(tcode, p, 0, split) for label, p in zip(probes, params)},
             last: encode(fixed_point)}
+
+
+def _with_biconditional(codes: dict[str, int], params: tuple[str, ...],
+                        bicond: Formula) -> tuple[tuple[str, int], ...]:
+    """The trace: the checked codes and the biconditional's, in label order."""
+    return tuple((label, codes[label] if label in codes else encode(bicond))
+                 for label in trace_labels(params))
 
 
 def _build_trace(template: Formula, hole: str, params: tuple[str, ...],
                  bicond: Formula, fixed_point: Formula) -> tuple[tuple[str, int], ...]:
-    codes = _checked_codes(template, hole, params, fixed_point)
-    return tuple((label, codes[label] if label in codes else encode(bicond))
-                 for label in trace_labels(params))
+    codes = _checked_codes(template, hole, params, fixed_point, cache(unpair))
+    return _with_biconditional(codes, params, bicond)
 
 
 def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> DiagonalResult:
@@ -456,29 +550,30 @@ def replay_trace(result: DiagonalResult) -> bool:
     decode back to the template, each substitution probe must agree with
     decode/substitute/encode's route, the fixed point's code must decode to
     the fixed point, and the biconditional must be alpha-equivalent to
-    iff(fixed_point, template).  Each code is built once.  A trace read (or
-    seeded) before replay is also compared, entry by entry, against a fresh
-    build, the biconditional's code included; an unread trace stays unread,
-    so replay builds no biconditional code and leaves the cache empty.
+    iff(fixed_point, template).  Each code is built once, and unpaired once:
+    the decode-back checks and the probes read codes through one memo of
+    unpair, which this call makes, fills from the codes themselves and drops
+    when it returns.  A trace read (or seeded) before replay is also compared,
+    entry by entry, against a fresh build, the biconditional's code included;
+    an unread trace stays unread, so replay builds no biconditional code and
+    leaves the cache empty.
     """
+    split = cache(unpair)
+    codes = _checked_codes(result.template, result.hole, result.params, result.fixed_point, split)
     if "trace" in result.__dict__:  # read before replay: compare it whole
-        expected = _build_trace(result.template, result.hole, result.params,
-                                result.biconditional, result.fixed_point)
+        expected = _with_biconditional(codes, result.params, result.biconditional)
         if len(expected) != len(result.trace):
             raise DiagonalError("trace length mismatch")
         for (lbl_e, code_e), (lbl_g, code_g) in zip(expected, result.trace):
             if lbl_e != lbl_g or code_e != code_g:
                 raise DiagonalError(f"trace entry {lbl_g!r} does not replay")
-        codes = dict(expected)
-    else:
-        codes = _checked_codes(result.template, result.hole, result.params, result.fixed_point)
     first, _, _, *probes, last = trace_labels(result.params)
-    if decode(codes[first]) != result.template:
+    if _decode(codes[first], split) != result.template:
         raise DiagonalError("template code does not decode back")
     for label, p in zip(probes, result.params):
         if codes[label] != encode(substitute_many(result.template, {p: Num(0)})):
             raise DiagonalError(f"substitution probe for {p} disagrees with the syntax route")
-    if decode(codes[last]) != result.fixed_point:
+    if _decode(codes[last], split) != result.fixed_point:
         raise DiagonalError("final trace entry is not the fixed point's code")
     if not alpha_eq(result.biconditional, iff(result.fixed_point, result.template)):
         raise DiagonalError("biconditional does not tie fixed point to template")

@@ -7,7 +7,7 @@ import pytest
 from modalgen import small_formulas
 
 from yablo.cli import main
-from yablo.coding import code_from_str, code_to_str, encode
+from yablo.coding import MAX_CODE_BITS, code_bits, code_from_str, code_to_str, encode
 from yablo.corpus import mono_instance
 from yablo.gl import MAX_PATH as MODAL_MAX_PATH
 from yablo.gl import print_modal
@@ -393,6 +393,66 @@ class TestCodeCommand:
     def test_decode_takes_ascii_digits_only(self, code, capsys):
         assert run_cli("code", "decode", code) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, code", [
+        (NESTED["not"](14), 0),
+        (NESTED["not"](15), 2),
+        (NESTED["succ"](14), 0),
+        (NESTED["succ"](15), 2),
+        (NESTED["and"](7), 0),
+        (NESTED["and"](8), 2),
+        ("R(" + ", ".join(["x"] * 14) + ")", 0),
+        ("R(" + ", ".join(["x"] * 16) + ")", 2),
+        *((NESTED[shape](MAX_DEPTH), 0 if shape == "paren" else 2) for shape in NESTED),
+    ], ids=["not-14", "not-15", "succ-14", "succ-15", "and-7", "and-8", "args-14", "args-16",
+            *(f"{shape}-at-the-cap" for shape in NESTED)])
+    def test_encode_budgets_the_code_size(self, text, code, capsys):
+        # a code about doubles in bits per level of nesting; past the limit
+        # encode exits 2 with the predicted size, before pairing anything
+        start = time.perf_counter()
+        assert run_cli("code", "encode", text) == code
+        assert time.perf_counter() - start < 5
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.strip().isdigit()
+        else:
+            assert f"over the limit of {MAX_CODE_BITS}" in err and not out
+
+    @pytest.mark.parametrize("seed", [1606, 2011])
+    def test_seeded_wide_and_deep_formulas_exit_0_or_2_promptly(self, seed, capsys):
+        rng = random.Random(seed)
+        atoms = ["x = 0", "k < S(y)", "P", "Q(x + 1)", "bot", "Prov[ x < 1 ; x := k ]"]
+
+        def wide(width: int) -> str:
+            if width == 1:
+                return rng.choice(atoms)
+            left = rng.randrange(1, width)
+            return f"({wide(left)} {rng.choice(['&', '|', '->'])} {wide(width - left)})"
+
+        seen = set()
+        for _ in range(8):
+            kind = rng.randrange(3)
+            if kind == 0:
+                text = wide(rng.randrange(2, 40))
+            elif kind == 1:
+                text = NESTED[rng.choice(sorted(NESTED))](rng.randrange(1, MAX_DEPTH + 1))
+            else:
+                text = "R(" + ", ".join(rng.choice(["x", "0", "S(k)"]) for _ in range(rng.randrange(1, 30))) + ")"
+            bound = code_bits(parse_formula(text))
+            start = time.perf_counter()
+            code = run_cli("code", "encode", text)
+            assert time.perf_counter() - start < 5, text
+            out = capsys.readouterr().out.strip()
+            assert code == (0 if bound <= MAX_CODE_BITS else 2), text
+            if code == 0:
+                assert out.isdigit() and len(out) <= bound * 0.30103 + 1
+            seen.add(code)
+        assert seen == {0, 2}
+
+    def test_diag_budgets_the_fixed_point_code(self, capsys):
+        # with no self the template is its own fixed point, and its code is printed
+        assert run_cli("code", "diag", "D(k) := " + NESTED["not"](20)) == 2
+        assert "over the limit" in capsys.readouterr().err
 
     def test_diag_reports_fixed_point(self, capsys):
         clause = "D(k) := all x. (k < x) -> Prov[ ~self(x) ; x := x ]"

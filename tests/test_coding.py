@@ -1,23 +1,30 @@
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_coding
 from astgen import VARS, rand_formula, sample_formulas
 from yablo import coding
 from yablo.coding import (
+    MAX_CODE_BITS,
+    TAG_BOX,
     TAG_EQ,
     TAG_FALSUM,
     TAG_FORALL,
     TAG_NOT,
     TAG_NUM,
+    TAG_PRED,
     TAG_SUCC,
     TAG_VAR,
     DiagonalError,
     DiagonalResult,
     NotACode,
+    code_bits,
     code_from_str,
     code_to_str,
     decode,
@@ -35,6 +42,7 @@ from yablo.coding import (
     trace_labels,
     unpair,
 )
+from yablo.corpus import golden_codes
 from yablo.parser import parse_formula
 from yablo.syntax import (
     Box,
@@ -54,6 +62,9 @@ from yablo.syntax import (
     numeral,
     substitute,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 def f(text: str):
@@ -382,10 +393,13 @@ class TestReplayBuildsOnce:
             replay_trace(tampered(result, label))
 
     def test_reused_probe_is_checked_against_the_syntax_route(self, monkeypatch):
-        def wrong(code, var, n):
-            return sub_code(code, var, n) + 1
+        # replay computes its probes with the unpairs it shares, not through sub_code
+        real = coding._sub_code
 
-        monkeypatch.setattr(coding, "sub_code", wrong)
+        def wrong(code, var, n, split):
+            return real(code, var, n, split) + 1
+
+        monkeypatch.setattr(coding, "_sub_code", wrong)
         with pytest.raises(DiagonalError, match="disagrees with the syntax route"):
             replay_trace(fresh_fix_intro())
 
@@ -408,3 +422,142 @@ class TestReplayBuildsOnce:
             swapped.trace
         with pytest.raises(DiagonalError, match="does not tie"):
             replay_trace(swapped)
+
+
+def nested_result(depth: int) -> DiagonalResult:
+    """A definition whose `self` sits under depth negations in the quotation;
+    the template's code doubles in bits with each one."""
+    return fix_intro(base_signature(), "D", ("k",),
+                     f(f"all x. (k < x) -> Prov[ {'~' * depth}self(x) ; x := x ]"))
+
+
+@pytest.fixture()
+def unpaired(monkeypatch) -> list[int]:
+    """Every code coding.unpair is called on from here on, in order."""
+    calls: list[int] = []
+    real = coding.unpair
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(coding, "unpair", spy)
+    return calls
+
+
+class TestReplayUnpairsOnce:
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_replay_unpairs_the_template_code_once(self, read, request):
+        result = nested_result(5)
+        if read:
+            result.trace
+        unpaired = request.getfixturevalue("unpaired")  # spy on replay only
+        assert replay_trace(result)
+        assert unpaired.count(encode(result.template)) == 1
+        assert len(unpaired) == len(set(unpaired))  # no code is unpaired twice
+
+    def test_sub_code_on_its_own_leaves_quotation_templates_whole(self, unpaired):
+        g = f("k < 1 & Prov[ ~~~~~(x < 1) ; x := k ]")
+        assert sub_code(encode(g), "k", 3) == encode(f("3 < 1 & Prov[ ~~~~~(x < 1) ; x := 3 ]"))
+        assert encode(f("~~~~~(x < 1)")) not in unpaired
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def hostile_codes() -> list[int]:
+    """Integers that are not codes of formulas, or only barely are."""
+    falsum = encode(Falsum())
+    var = encode_term(Var("x"))
+    out = list(range(0, 2000))
+    rng = random.Random(4242)
+    out += [rng.getrandbits(bits) for bits in (64, 256, 2048) for _ in range(100)]
+    out += [
+        pair(17, 0), pair(99, pair(2, 2)), pair(10**40, 5),       # unknown tags
+        pair(TAG_FALSUM, 5), pair(TAG_NOT, pair(TAG_FALSUM, 1)),  # falsum payloads
+        pair(TAG_SUCC, pair(TAG_NUM, 7)),                         # a successor of a numeral
+    ]
+    for reserved in ("bot", "self", "all"):                       # reserved binder names
+        out.append(pair(TAG_FORALL, pair(name_code(reserved), falsum)))
+        out.append(pair(TAG_BOX, pair(encode(f("x < 1")),
+                                      pair(pair(name_code(reserved), var), 0))))
+    pred = name_code("R")
+    out += [
+        pair(TAG_PRED, pair(pred, pair(0, 0))),                   # bad list entries
+        pair(TAG_PRED, pair(pred, pair(var, pair(falsum, 0)))),
+        pair(TAG_PRED, pair(name_code("lower"), 0)),
+        pair(TAG_BOX, pair(encode(f("x < 1")), pair(0, 0))),
+        pair(TAG_BOX, pair(encode(f("x < 1")), 0)),               # a range too few
+        pair(TAG_BOX, pair(falsum, pair(pair(name_code("x"), var), 0))),  # one too many
+    ]
+    return out
+
+
+class TestAgainstReference:
+    """decode and sub_code against tests/reference_coding.py, the versions
+    that unpaired every code afresh: same result, or the same exception."""
+
+    def agree(self, code: int, subs=(("x", 0), ("k", 3), ("w0", 12))) -> None:
+        assert outcome(decode, code) == outcome(reference_coding.decode, code)
+        assert outcome(decode_term, code) == outcome(reference_coding.decode_term, code)
+        for v, n in subs:
+            assert outcome(sub_code, code, v, n) == outcome(reference_coding.sub_code, code, v, n)
+
+    def test_sampled_formulas(self):
+        for g in sample_formulas(200, seed=5):
+            self.agree(encode(g))
+
+    def test_quotations_and_predicates(self):
+        for text in ("Con", "YJ(k + 1)", "R(x, S(y))", "Prov[ bot ; ]",
+                     "Prov[ x < y ; x := u + 1, y := 0 ]",
+                     "all x. k < x -> Prov[ ~YJ(x) ; x := x ]",
+                     "Prov[ Prov[ x = k ; x := x, k := k ] ; x := S(k), k := x * x ]"):
+            self.agree(encode(f(text)))
+
+    def test_nested_definitions(self):
+        for depth in range(1, 8):
+            result = nested_result(depth)
+            self.agree(encode(result.template), subs=(("k", 0),))
+
+    def test_hostile_integers(self):
+        for code in hostile_codes():
+            self.agree(code)
+
+
+class TestCodeSizeBound:
+    def test_bound_holds_on_samples_and_nested_definitions(self):
+        for g in sample_formulas(300, seed=23):
+            assert encode(g).bit_length() <= code_bits(g)
+        for depth in range(1, 6):
+            result = nested_result(depth)
+            for g in (result.template, result.fixed_point, result.biconditional):
+                assert encode(g).bit_length() <= code_bits(g)
+
+    def test_bound_is_within_a_small_factor_on_deep_codes(self):
+        # each level at most doubles the bound and at least doubles the code
+        g = nested_result(7).template
+        assert code_bits(g) < 2 * encode(g).bit_length()
+
+    def test_pins_are_within_the_limit(self, registry):
+        for label, g in golden_codes(registry):
+            assert code_bits(g) <= MAX_CODE_BITS, label
+
+    @pytest.mark.parametrize("seed", [7, 4242, 9001])
+    def test_benchmark_codes_are_within_the_limit(self, seed):
+        # every code the scaling workload builds on an untraced run: the
+        # nested templates, their probes and fixed points, and the round trips
+        scaling = workloads.ScalingWorkload(workloads.Api(), seed)
+        for _, _, d in scaling.nested:
+            result = fix_intro(base_signature(), d.name, d.params, d.body)
+            for g in (result.template, result.fixed_point,
+                      *(substitute(result.template, p, numeral(0)) for p in d.params)):
+                assert code_bits(g) <= MAX_CODE_BITS
+        for batch in scaling.coding:
+            for g, v, n in batch:
+                assert code_bits(g) <= MAX_CODE_BITS
+                assert code_bits(substitute(g, v, numeral(n))) <= MAX_CODE_BITS

@@ -32,8 +32,10 @@ from yablo.syntax import (
     alpha_eq,
     base_signature,
     canonical,
+    free_vars,
     numeral,
     print_formula,
+    substitute,
 )
 
 AXIOMS = load_axioms((resources.files("yablo") / "corpus" / "arith.axioms").read_text())
@@ -383,6 +385,53 @@ class TestQuantifierRules:
             "6. P | ~P by exE 2, 5 with bot\n"
         )
         rejected_at(run(body, "P | ~P"), 6, "bad variable name 'bot'")
+
+
+# From Q(u), the witness u for exists x. ~Q(x) is no fresh name: it is free in
+# the open assumption.  Were exE to allow it, this script would derive
+# Q(u) -> ~exists x. ~Q(x), that is, from one instance of Q every instance.
+EXE_WITNESS_IN_OPEN_ASSUMPTION = (
+    "1. assume Q(u)\n"
+    "2. assume exists x. ~Q(x)\n"
+    "3. assume ~Q(u)\n"
+    "4. bot by negE 1, 3\n"
+    "5. qed-block 3\n"
+    "6. bot by exE 2, 5 with u\n"
+    "7. qed-block 2\n"
+    "8. ~(exists x. ~Q(x)) by negI 7\n"
+    "9. qed-block 1"
+)
+
+
+def exE_without_assumptions_banned(self, step):
+    """rule_exE with the free variables of active assumptions left out of
+    banned: the weakening the test below must kill."""
+    fi, fj = self._two(step)
+    if not isinstance(fi, Exists):
+        raise _Fail("first cited step is not existentially quantified")
+    if not isinstance(fj, Imp):
+        raise _Fail("second cited step is not an implication")
+    y = step.var
+    if not alpha_eq(fj.left, substitute(fi.body, fi.var, Var(y))):
+        raise _Fail(f"implication antecedent is not the witness instance at {y}")
+    if not alpha_eq(step.formula, fj.right):
+        raise _Fail("stated formula does not match the implication consequent")
+    if y in free_vars(fi) | free_vars(step.formula):
+        raise _Fail(f"witness variable {y} is not fresh here")
+
+
+class TestCheckerWeakenings:
+    """Scripts that a weakened rule would accept, each rejected at its step."""
+
+    def test_exE_witness_free_in_an_open_assumption(self):
+        rejected_at(run(EXE_WITNESS_IN_OPEN_ASSUMPTION, "Q(u) -> ~(exists x. ~Q(x))"),
+                    6, "witness variable u is not fresh here")
+
+    def test_weakened_exE_accepts_the_unsound_script(self, monkeypatch):
+        monkeypatch.setattr(_KernelChecker, "rule_exE", exE_without_assumptions_banned)
+        assert run(EXE_WITNESS_IN_OPEN_ASSUMPTION, "Q(u) -> ~(exists x. ~Q(x))").ok
+        with pytest.raises(AssertionError):
+            self.test_exE_witness_free_in_an_open_assumption()
 
 
 class TestArithmeticRules:

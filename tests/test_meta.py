@@ -1,9 +1,10 @@
 import pytest
 
+from yablo.kernel import _Fail
 from yablo.meta import ResolveError, _MetaChecker, check_meta_script, list_rules
 from yablo.parser import parse_formula
 from yablo.scripts import META_RULES, ScriptError, parse_meta_script, parse_script
-from yablo.syntax import base_signature
+from yablo.syntax import Box, alpha_eq, apply_box_subst, base_signature
 
 
 def f(text: str):
@@ -151,6 +152,43 @@ class TestJudgmentRules:
         body = "1. NotPrv: P by m-kernel not_p\n"
         resolver = StubResolver(kernel={"not_p": f("~P")})
         rejected_at(run(body, "NotPrv: P", resolver=resolver), 1, "concludes Prv")
+
+
+def m_refl1_without_the_range_check(self, step):
+    """rule_m_refl1 without its check that quotation ranges are built from
+    schematic numerals: the weakening the test below must kill."""
+    fi = self._one(step)
+    if not isinstance(fi, Box):
+        raise _Fail("cited judgment is not a quotation")
+    if not alpha_eq(step.formula, apply_box_subst(fi)):
+        raise _Fail("stated formula is not the quoted instance")
+
+
+class TestCheckerWeakenings:
+    # Every Prv judgment a script records has passed wf where it stands, and
+    # a step cites it only while the blocks around it are open, so its ranges
+    # use only names usable at the citing step: no script reaches m-refl1's
+    # range check.  The checker below starts from a record that skipped wf.
+    def refl1_on_a_loose_range(self):
+        resolver = StubResolver(kernel={"boxed": f("Prov[ x < 1 ; x := k ]")})
+        script = parse_meta_script(
+            'meta-theorem t_meta "inline"\nassume-meta OneCon\neigen k\n'
+            "1. Prv: Prov[ x < 1 ; x := k ] by m-kernel boxed\n"
+            "2. Prv: u < 1 by m-refl1 1\n"
+            "conclusion Prv: u < 1\n")
+        checker = _MetaChecker(script, base_signature(), resolver)
+        checker._record(1, f("Prov[ x < 1 ; x := u ]"), "Prv")  # u is no eigenvariable
+        checker.rule_m_refl1(script.steps[1])
+
+    def test_m_refl1_range_outside_the_schematic_names(self):
+        with pytest.raises(_Fail, match="quotation range for x is not built from schematic numerals"):
+            self.refl1_on_a_loose_range()
+
+    def test_weakened_m_refl1_accepts_the_loose_range(self, monkeypatch):
+        monkeypatch.setattr(_MetaChecker, "rule_m_refl1", m_refl1_without_the_range_check)
+        self.refl1_on_a_loose_range()
+        with pytest.raises(pytest.fail.Exception):
+            self.test_m_refl1_range_outside_the_schematic_names()
 
 
 EXISTS_BODY = "exists x. (k < x) & Prov[ Q(z) ; z := x ]"
