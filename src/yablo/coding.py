@@ -57,7 +57,6 @@ from .syntax import (
     _no_digit_limit,
     alpha_eq,
     decimal,
-    free_vars,
     iff,
     substitute_many,
 )
@@ -458,22 +457,18 @@ class DiagonalResult:
                             self.biconditional, self.fixed_point)
 
 
-def _hole_positions(f: Formula, hole: str, under_box: bool, out: list[tuple[bool, int]]) -> None:
-    """(under a quotation, argument count) of each application of hole."""
+def _unquoted(f: Formula, hole: str) -> bool:
+    """Whether hole is applied in f outside every quotation."""
     match f:
-        case PredApp(name, args) if name == hole:
-            out.append((under_box, len(args)))
+        case PredApp(name, _):
+            return name == hole
         case Not(s):
-            _hole_positions(s, hole, under_box, out)
+            return _unquoted(s, hole)
         case Imp(l, r) | And(l, r) | Or(l, r):
-            _hole_positions(l, hole, under_box, out)
-            _hole_positions(r, hole, under_box, out)
+            return _unquoted(l, hole) or _unquoted(r, hole)
         case ForAll(_, b) | Exists(_, b):
-            _hole_positions(b, hole, under_box, out)
-        case Box(tpl, _):
-            _hole_positions(tpl, hole, True, out)
-        case _:
-            pass
+            return _unquoted(b, hole)
+    return False
 
 
 def trace_labels(params: tuple[str, ...]) -> tuple[str, ...]:
@@ -520,16 +515,15 @@ def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> Diagon
         Var(p)
     if len(set(params)) != len(params):
         raise DiagonalError(f"duplicate parameter in {hole}({', '.join(params)})")
-    stray = free_vars(template) - set(params)
+    stray = set(template.free) - set(params)
     if stray:
         raise DiagonalError(f"free variables {sorted(stray)} are not parameters of {hole}")
-    positions: list[tuple[bool, int]] = []
-    _hole_positions(template, hole, False, positions)
-    if any(not quoted for quoted, _ in positions):
+    arities = [n for name, n in template.uses if name == hole]
+    if arities and _unquoted(template, hole):
         raise DiagonalError(f"predicate {hole} occurs outside every quotation")
-    if any(n != len(params) for _, n in positions):
+    if any(n != len(params) for n in arities):
         raise DiagonalError(f"predicate {hole} is applied to other than {len(params)} arguments")
-    if positions:
+    if arities:
         fixed_point: Formula = PredApp(hole, tuple(Var(p) for p in params))
     else:
         fixed_point = template

@@ -47,7 +47,6 @@ from .syntax import (
     alpha_eq,
     canonical,
     decimal,
-    free_vars,
     identity_box,
     iff,
     print_formula,
@@ -231,30 +230,19 @@ def match_schema(pattern: Formula, instance: Formula) -> dict[str, Term] | None:
     return env if mf(pattern, instance) else None
 
 
-def _restrict(subst: tuple[tuple[str, Term], ...], names: set[str]) -> tuple[tuple[str, Term], ...]:
+def _restrict(subst: tuple[tuple[str, Term], ...], names: tuple[str, ...]) -> tuple[tuple[str, Term], ...]:
     return tuple((v, t) for v, t in subst if v in names)
 
 
 def arity_violation(f: Formula, sig: Signature) -> str | None:
     """First predicate-usage problem in f (quotation templates included)."""
-    match f:
-        case PredApp(name, args):
-            known = sig.arity(name)
-            if known is None:
-                return f"unknown predicate {name}"
-            if known != len(args):
-                return f"predicate {name} expects {known} arguments, got {len(args)}"
-            return None
-        case Not(s):
-            return arity_violation(s, sig)
-        case Imp(l, r) | And(l, r) | Or(l, r):
-            return arity_violation(l, sig) or arity_violation(r, sig)
-        case ForAll(_, b) | Exists(_, b):
-            return arity_violation(b, sig)
-        case Box(tpl, _):
-            return arity_violation(tpl, sig)
-        case _:
-            return None
+    for name, n in f.uses:
+        known = sig.arity(name)
+        if known is None:
+            return f"unknown predicate {name}"
+        if known != n:
+            return f"predicate {name} expects {known} arguments, got {n}"
+    return None
 
 
 # ---------------------------------------------------------------- block discipline
@@ -482,7 +470,7 @@ class _KernelChecker(BlockChecker):
         if not alpha_eq(fi, body):
             raise _Fail("cited step does not match the quantified body")
         for a in self.active_assumptions():
-            if v in free_vars(a):
+            if v in a.free:
                 raise _Fail(f"variable {v} is free in an active assumption")
 
     def rule_allE(self, step: KernelStep) -> None:
@@ -513,10 +501,7 @@ class _KernelChecker(BlockChecker):
             raise _Fail(f"implication antecedent is not the witness instance at {y}")
         if not alpha_eq(step.formula, fj.right):
             raise _Fail("stated formula does not match the implication consequent")
-        banned = free_vars(fi) | free_vars(step.formula)
-        for a in self.active_assumptions():
-            banned |= free_vars(a)
-        if y in banned:
+        if any(y in g.free for g in (fi, step.formula, *self.active_assumptions())):
             raise _Fail(f"witness variable {y} is not fresh here")
 
     def rule_arith(self, step: KernelStep) -> None:
@@ -585,8 +570,8 @@ class _KernelChecker(BlockChecker):
         if not isinstance(outer.template, Imp):
             raise _Fail("outermost quotation does not contain an implication")
         a, b = outer.template.left, outer.template.right
-        want1 = Box(a, _restrict(outer.subst, free_vars(a)))
-        want2 = Box(b, _restrict(outer.subst, free_vars(b)))
+        want1 = Box(a, _restrict(outer.subst, a.free))
+        want2 = Box(b, _restrict(outer.subst, b.free))
         if not alpha_eq(f.right.left, want1):
             raise _Fail("quoted antecedent does not carry the restricted substitution")
         if not alpha_eq(f.right.right, want2):

@@ -35,14 +35,13 @@ from .syntax import (
     PredApp,
     Signature,
     SyntaxBuildError,
+    Term,
     Var,
     alpha_eq,
     apply_box_subst,
-    free_vars,
     sigma1,
     substitute,
     substitute_many,
-    term_vars,
 )
 
 GATE_NONE = ""
@@ -132,7 +131,7 @@ class _MetaChecker(BlockChecker):
         return set(self.script.eigens) | {y for y, path in self.fresh.items() if self.visible(path)}
 
     def wf(self, f: Formula) -> None:
-        loose = free_vars(f) - self.usable_vars()
+        loose = set(f.free) - self.usable_vars()
         if loose:
             raise _Fail(
                 f"free variables {sorted(loose)} are neither declared eigenvariables "
@@ -141,6 +140,14 @@ class _MetaChecker(BlockChecker):
         problem = arity_violation(f, self.sig)
         if problem:
             raise _Fail(problem)
+
+    def schematic(self, entries: tuple[tuple[str, Term], ...], message: str) -> None:
+        """Fail with message, formatted with the entry's variable, at the first
+        entry whose term uses a name that is not usable here."""
+        usable = self.usable_vars()
+        for v, t in entries:
+            if not usable.issuperset(t.free):
+                raise _Fail(message.format(v))
 
     # -- rules
 
@@ -165,10 +172,7 @@ class _MetaChecker(BlockChecker):
         if len(step.refs) != 1 or not step.bindings:
             raise _Fail("m-inst cites one step and at least one binding")
         fi = self.cited(step.refs[0])
-        usable = self.usable_vars()
-        for v, t in step.bindings:
-            if not term_vars(t) <= usable:
-                raise _Fail(f"binding for {v} uses variables that are not schematic here")
+        self.schematic(step.bindings, "binding for {} uses variables that are not schematic here")
         want = substitute_many(fi, dict(step.bindings))
         if not alpha_eq(step.formula, want):
             raise _Fail("stated formula is not the cited judgment under the given bindings")
@@ -177,10 +181,7 @@ class _MetaChecker(BlockChecker):
         fi = self._one(step)
         if not isinstance(fi, Box):
             raise _Fail("cited judgment is not a quotation")
-        usable = self.usable_vars()
-        for v, t in fi.subst:
-            if not term_vars(t) <= usable:
-                raise _Fail(f"quotation range for {v} is not built from schematic numerals")
+        self.schematic(fi.subst, "quotation range for {} is not built from schematic numerals")
         want = apply_box_subst(fi)
         if not alpha_eq(step.formula, want):
             raise _Fail("stated formula is not the quoted instance")
@@ -192,7 +193,7 @@ class _MetaChecker(BlockChecker):
         body = fi.body
         if not (isinstance(body, And) and isinstance(body.left, Lt)
                 and body.left.right == Var(fi.var)
-                and fi.var not in term_vars(body.left.left)):
+                and fi.var not in body.left.left.free):
             raise _Fail("existential body must be a conjunction starting with a lower bound "
                         "on the quantified variable")
         if not sigma1(body):
@@ -230,10 +231,7 @@ class _MetaChecker(BlockChecker):
         for a in need:
             if not _covers(self.script.assumptions, a):
                 raise _Fail(f"{step.name} relies on the {a} assumption, which is not declared here")
-        usable = self.usable_vars()
-        for v, t in step.bindings:
-            if not term_vars(t) <= usable:
-                raise _Fail(f"binding for {v} uses variables that are not schematic here")
+        self.schematic(step.bindings, "binding for {} uses variables that are not schematic here")
         instance = substitute_many(concl, dict(step.bindings))
         psi = self.cited(step.refs[0])
         if not alpha_eq(psi, instance):

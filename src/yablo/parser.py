@@ -52,7 +52,6 @@ from .syntax import (
     Term,
     Times,
     Var,
-    free_vars,
 )
 
 MAX_DEPTH = 100
@@ -216,7 +215,7 @@ class _Parser:
         close = self.toks[self.i][2]
         self.eat("]")
         if not explicit:
-            entries = [(v, Var(v)) for v in sorted(free_vars(template))]
+            entries = [(v, Var(v)) for v in sorted(template.free)]
         return _build(close, Box, template, tuple(entries))
 
     # -- terms

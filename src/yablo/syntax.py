@@ -8,16 +8,22 @@ and Box(template, subst): the provability assertion for the template with the
 substitution's terms written into its dotted variables.  The subst domain must
 cover the template's free variables exactly, so a Box node is closed from the
 outside except through the subst range.
+
+Each node holds two tuples, built by its __post_init__ from its children's:
+``free``, its free variables in order of first occurrence (for a Box, those of
+its range terms in subst order), and ``uses``, its (predicate, argument count)
+pairs in order of first occurrence, quotation templates included.  Neither
+is a dataclass field, so neither takes part in equality, hashing or the repr.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import ClassVar
 
 IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 PRED_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
@@ -34,12 +40,31 @@ def _check_var(name: str) -> str:
     return name
 
 
+def _merge(a: tuple, b: tuple) -> tuple:
+    """a followed by the entries of b that are not in a."""
+    if not b or a is b:
+        return a
+    if not a:
+        return b
+    merged = tuple(dict.fromkeys(a + b))
+    return a if len(merged) == len(a) else merged
+
+
+def _join(node) -> None:
+    """__post_init__ of the nodes with a left and a right operand."""
+    left, right = node.left, node.right
+    object.__setattr__(node, "free", _merge(left.free, right.free))
+    if left.uses or right.uses:
+        object.__setattr__(node, "uses", _merge(left.uses, right.uses))
+
+
 # ---------------------------------------------------------------- terms
 
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    free: ClassVar[tuple[str, ...]] = ()
+    uses: ClassVar[tuple[tuple[str, int], ...]] = ()
 
 
 @dataclass(frozen=True)
@@ -60,11 +85,16 @@ class Succ(Term):
             return Num(arg.value + 1)
         return super().__new__(cls)
 
+    def __post_init__(self):
+        object.__setattr__(self, "free", self.arg.free)
+
 
 @dataclass(frozen=True)
 class Plus(Term):
     left: Term
     right: Term
+
+    __post_init__ = _join
 
 
 @dataclass(frozen=True)
@@ -72,13 +102,15 @@ class Times(Term):
     left: Term
     right: Term
 
+    __post_init__ = _join
+
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
 
     def __post_init__(self):
-        _check_var(self.name)
+        object.__setattr__(self, "free", (_check_var(self.name),))
 
 
 numeral = Num
@@ -111,7 +143,8 @@ def decimal(n: int) -> str:
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    free: ClassVar[tuple[str, ...]] = ()
+    uses: ClassVar[tuple[tuple[str, int], ...]] = ()
 
 
 @dataclass(frozen=True)
@@ -124,16 +157,24 @@ class Eq(Formula):
     left: Term
     right: Term
 
+    __post_init__ = _join
+
 
 @dataclass(frozen=True)
 class Lt(Formula):
     left: Term
     right: Term
 
+    __post_init__ = _join
+
 
 @dataclass(frozen=True)
 class Not(Formula):
     sub: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", self.sub.free)
+        object.__setattr__(self, "uses", self.sub.uses)
 
 
 @dataclass(frozen=True)
@@ -141,11 +182,15 @@ class Imp(Formula):
     left: Formula
     right: Formula
 
+    __post_init__ = _join
+
 
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
+
+    __post_init__ = _join
 
 
 @dataclass(frozen=True)
@@ -153,14 +198,24 @@ class Or(Formula):
     left: Formula
     right: Formula
 
+    __post_init__ = _join
+
+
+def _bind(q: ForAll | Exists) -> None:
+    """__post_init__ of the quantifiers."""
+    v, free = _check_var(q.var), q.body.free
+    if v in free:
+        free = tuple(w for w in free if w != v)
+    object.__setattr__(q, "free", free)
+    object.__setattr__(q, "uses", q.body.uses)
+
 
 @dataclass(frozen=True)
 class ForAll(Formula):
     var: str
     body: Formula
 
-    def __post_init__(self):
-        _check_var(self.var)
+    __post_init__ = _bind
 
 
 @dataclass(frozen=True)
@@ -168,8 +223,7 @@ class Exists(Formula):
     var: str
     body: Formula
 
-    def __post_init__(self):
-        _check_var(self.var)
+    __post_init__ = _bind
 
 
 @dataclass(frozen=True)
@@ -181,6 +235,8 @@ class PredApp(Formula):
         if not PRED_RE.match(self.name):
             raise SyntaxBuildError(f"bad predicate name {self.name!r}")
         object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "free", reduce(_merge, (a.free for a in self.args), ()))
+        object.__setattr__(self, "uses", ((self.name, len(self.args)),))
 
 
 @dataclass(frozen=True)
@@ -199,7 +255,7 @@ class Box(Formula):
         names = [v for v, _ in entries]
         if len(set(names)) != len(names):
             raise SyntaxBuildError("duplicate variable in Box substitution")
-        need = free_vars(self.template)
+        need = set(self.template.free)
         have = set(names)
         if have != need:
             missing = sorted(need - have)
@@ -211,6 +267,8 @@ class Box(Formula):
                 bits.append(f"entries for non-template variables {extra}")
             raise SyntaxBuildError("Box substitution mismatch: " + "; ".join(bits))
         object.__setattr__(self, "subst", entries)
+        object.__setattr__(self, "free", reduce(_merge, (t.free for _, t in entries), ()))
+        object.__setattr__(self, "uses", self.template.uses)
 
     def range_of(self, v: str) -> Term:
         for name, t in self.subst:
@@ -228,80 +286,13 @@ def iff(a: Formula, b: Formula) -> And:
 
 
 def term_vars(t: Term) -> set[str]:
-    match t:
-        case Var(name):
-            return {name}
-        case Succ(a):
-            return term_vars(a)
-        case Plus(l, r) | Times(l, r):
-            return term_vars(l) | term_vars(r)
-        case _:
-            return set()
+    """The free variables of t, as a fresh set."""
+    return set(t.free)
 
 
-def free_vars(f: Formula, body_vars: Callable[[Formula], set[str]] | None = None) -> set[str]:
-    """The free variables of f; body_vars, when given, computes those of each
-    quantifier body (substitute_many passes a memo of its own)."""
-    match f:
-        case Falsum():
-            return set()
-        case Eq(l, r) | Lt(l, r):
-            return term_vars(l) | term_vars(r)
-        case Not(s):
-            return free_vars(s, body_vars)
-        case Imp(l, r) | And(l, r) | Or(l, r):
-            return free_vars(l, body_vars) | free_vars(r, body_vars)
-        case ForAll(v, b) | Exists(v, b):
-            return (body_vars or free_vars)(b) - {v}
-        case PredApp(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= term_vars(a)
-            return out
-        case Box(_, subst):
-            out = set()
-            for _, t in subst:
-                out |= term_vars(t)
-            return out
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _template_var_order(f: Formula) -> list[str]:
-    """Free variables of a Box template in first-occurrence order."""
-    seen: list[str] = []
-
-    def walk_term(t: Term, bound: frozenset[str]):
-        match t:
-            case Var(name):
-                if name not in bound and name not in seen:
-                    seen.append(name)
-            case Succ(a):
-                walk_term(a, bound)
-            case Plus(l, r) | Times(l, r):
-                walk_term(l, bound)
-                walk_term(r, bound)
-
-    def walk(g: Formula, bound: frozenset[str]):
-        match g:
-            case Eq(l, r) | Lt(l, r):
-                walk_term(l, bound)
-                walk_term(r, bound)
-            case Not(s):
-                walk(s, bound)
-            case Imp(l, r) | And(l, r) | Or(l, r):
-                walk(l, bound)
-                walk(r, bound)
-            case ForAll(v, b) | Exists(v, b):
-                walk(b, bound | {v})
-            case PredApp(_, args):
-                for a in args:
-                    walk_term(a, bound)
-            case Box(_, subst):
-                for _, t in subst:
-                    walk_term(t, bound)
-
-    walk(f, frozenset())
-    return seen
+def free_vars(f: Formula) -> set[str]:
+    """The free variables of f, as a fresh set."""
+    return set(f.free)
 
 
 # ---------------------------------------------------------------- alpha-equivalence
@@ -353,7 +344,7 @@ def _canon(f: Formula, env: dict[str, object], depth: int) -> tuple:
         case PredApp(name, args):
             return ("p", name, tuple(_canon_term(a, env) for a in args))
         case Box(tpl, _):
-            order = _template_var_order(tpl)
+            order = tpl.free
             tpl_env: dict[str, object] = {v: ("d", i) for i, v in enumerate(order)}
             ranges = tuple(_canon_term(f.range_of(v), env) for v in order)
             return ("box", _canon(tpl, tpl_env, 0), ranges)
@@ -404,23 +395,11 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
     sigma = {v: t for v, t in sigma.items() if not (isinstance(t, Var) and t.name == v)}
     if not sigma:
         return f
-    memo: dict[int, tuple[Formula, set[str]]] = {}
-
-    def body_vars(b: Formula) -> set[str]:
-        """free_vars(b), computed once per quantifier body in this call.  The
-        entry keeps b alive so that its id is not reused; the set is shared
-        and never mutated."""
-        hit = memo.get(id(b))
-        if hit is None:
-            hit = memo[id(b)] = (b, free_vars(b, body_vars))
-        return hit[1]
 
     def go(g: Formula, sg: dict[str, Term]) -> Formula:
-        if not sg:
+        if sg.keys().isdisjoint(g.free):  # no substituted variable is free in g
             return g
         match g:
-            case Falsum():
-                return g
             case Eq(l, r):
                 return Eq(substitute_term(l, sg), substitute_term(r, sg))
             case Lt(l, r):
@@ -438,15 +417,13 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
             case Box(tpl, subst):
                 return Box(tpl, tuple((v, substitute_term(t, sg)) for v, t in subst))
             case ForAll(v, b) | Exists(v, b):
-                inner = {w: t for w, t in sg.items() if w != v and w in body_vars(b)}
+                inner = {w: t for w, t in sg.items() if w != v and w in b.free}
                 cls = ForAll if isinstance(g, ForAll) else Exists
-                if not inner:
-                    return cls(v, b)
                 clash = set()
                 for t in inner.values():
-                    clash |= term_vars(t)
+                    clash.update(t.free)
                 if v in clash:
-                    avoid = clash | body_vars(b) | set(inner)
+                    avoid = clash | set(b.free) | set(inner)
                     v2 = fresh_name(v, avoid)
                     b = go(b, {v: Var(v2)})
                     v = v2
@@ -467,7 +444,7 @@ def apply_box_subst(b: Box) -> Formula:
 
 def identity_box(f: Formula) -> Box:
     """Box(f) with every free variable dotted at itself."""
-    return Box(f, tuple((v, Var(v)) for v in sorted(free_vars(f))))
+    return Box(f, tuple((v, Var(v)) for v in sorted(f.free)))
 
 
 # ---------------------------------------------------------------- sigma-1
@@ -485,7 +462,7 @@ def sigma1(f: Formula) -> bool:
             return sigma1(l) and sigma1(r)
         case Exists(_, b):
             return sigma1(b)
-        case ForAll(v, Imp(Lt(Var(w), bound), b)) if w == v and v not in term_vars(bound):
+        case ForAll(v, Imp(Lt(Var(w), bound), b)) if w == v and v not in bound.free:
             return sigma1(b)
         case _:
             return False

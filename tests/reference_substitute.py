@@ -2,7 +2,8 @@
 # quantifier bodies, kept verbatim (only its imports are absolute and added
 # here) as the reference that tests/test_syntax.py compares
 # yablo.syntax.substitute_many with.  It recomputes free_vars(b) at every
-# quantifier it passes, so it is quadratic in quantifier nesting.
+# quantifier it passes, with the recursive walker of tests/reference_walkers.py,
+# so it is quadratic in quantifier nesting.
 
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ from yablo.syntax import (
     PredApp,
     Term,
     Var,
-    free_vars,
     fresh_name,
     substitute_term,
-    term_vars,
 )
+
+from reference_walkers import free_vars, term_vars
 
 
 def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:

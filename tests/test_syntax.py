@@ -6,18 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_substitute as reference
+import reference_walkers as walkers
 from astgen import VARS, rand_formula, rand_term, sample_formulas
 from yablo import syntax
+from yablo.kernel import arity_violation
 from yablo.parser import MAX_DEPTH, ParseError, parse_formula, parse_term
 from yablo.syntax import (
     And,
     Box,
+    Eq,
     Exists,
     Falsum,
     ForAll,
     Imp,
     Lt,
     Not,
+    Or,
     Plus,
     PredApp,
     Succ,
@@ -40,6 +44,7 @@ from yablo.syntax import (
     substitute,
     substitute_many,
     substitute_term,
+    term_vars,
 )
 
 
@@ -198,26 +203,100 @@ class TestSubstitution:
         assert len(renames) > 50
 
     def test_each_quantifier_body_is_scanned_once(self, monkeypatch):
-        # 200 nested binders over k < y: rescanning each body at its binder
-        # would visit about 200 * 200 / 2 nodes
-        visits = []
-        scan = syntax.free_vars
-
-        def counted(g, body_vars=None):
-            visits.append(g)
-            return scan(g, body_vars)
-
-        monkeypatch.setattr(syntax, "free_vars", counted)
+        # 200 nested binders over k < y.  A node's free variables are computed
+        # once, by its __post_init__, when it is built; rescanning each body at
+        # its binder, as the reference substitution does with the recursive
+        # walker, would visit about 200 * 200 / 2 nodes.  Both are counted.
         g = Lt(Var("k"), Var("y"))
         for i in range(200):
             g = ForAll(f"y{i}", g)
+        visits = []
+
+        def counted(compute):
+            def visit(node, *rest):
+                visits.append(node)
+                return compute(node, *rest)
+            return visit
+
+        for cls in syntax.Term.__subclasses__() + syntax.Formula.__subclasses__():
+            if "__post_init__" in vars(cls):
+                monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+        monkeypatch.setattr(walkers, "free_vars", counted(walkers.free_vars))
+        monkeypatch.setattr(reference, "free_vars", walkers.free_vars)
         out = substitute_many(g, {"k": numeral(0)})
         assert len(visits) < 4 * 200
-        assert out == reference.substitute_many(g, {"k": numeral(0)})
+        visits.clear()
+        assert reference.substitute_many(g, {"k": numeral(0)}) == out
+        assert len(visits) > 4 * 200, "the bound above no longer tells a rescanning substitution"
 
     def test_fresh_name_avoids(self):
         assert fresh_name("x", {"x", "x0"}) == "x1"
         assert fresh_name("y", set()) == "y0"
+
+
+def subformulas(g):
+    """g and every formula below it, quotation templates included."""
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        yield h
+        match h:
+            case Not(s):
+                todo.append(s)
+            case Imp(l, r) | And(l, r) | Or(l, r):
+                todo += [l, r]
+            case ForAll(_, b) | Exists(_, b):
+                todo.append(b)
+            case Box(tpl, _):
+                todo.append(tpl)
+
+
+class TestNodeAttributesAgainstWalkers:
+    """Each node's free and uses against the recursive walkers they replaced,
+    on seeded formulas with shadowing binders and nested quotations."""
+
+    def formulas(self):
+        rng = random.Random(20261020)
+        for _ in range(500):
+            g = rand_formula(rng, rng.randrange(1, 7))
+            for _ in range(rng.randrange(3)):  # rebind names the body may bind or use
+                g = (ForAll if rng.randrange(2) else Exists)(rng.choice(VARS), g)
+            if rng.randrange(3) == 0:  # quote it, with ranges in the enclosing scope
+                g = Box(g, tuple((v, rand_term(rng, 1, VARS)) for v in sorted(walkers.free_vars(g))))
+            yield g
+
+    def test_variable_order_and_sets(self):
+        shadowed = nested = 0
+        for g in self.formulas():
+            for h in subformulas(g):
+                assert list(h.free) == walkers._template_var_order(h), print_formula(h)
+                assert free_vars(h) == walkers.free_vars(h) == set(h.free), print_formula(h)
+                if isinstance(h, (ForAll, Exists)):
+                    shadowed += any(isinstance(b, (ForAll, Exists)) and b.var == h.var
+                                    for b in subformulas(h.body))
+                if isinstance(h, Box):
+                    nested += any(isinstance(b, Box) for b in subformulas(h.template))
+        assert shadowed > 50 and nested > 50
+
+    def test_term_variables(self):
+        rng = random.Random(20261021)
+        for _ in range(500):
+            u = rand_term(rng, rng.randrange(0, 5), VARS)
+            assert term_vars(u) == walkers.term_vars(u)
+            assert list(u.free) == walkers._template_var_order(Eq(u, Zero()))
+
+    def test_arity_messages(self):
+        sig = base_signature()
+        sig.declare("P", 0)
+        sig.declare("Q", 2)  # the generator applies Q to one argument
+        sig.declare("R", 2)  # YJ stays undeclared
+        seen = set()
+        for g in self.formulas():
+            for h in subformulas(g):
+                got = arity_violation(h, sig)
+                assert got == walkers.arity_violation(h, sig), print_formula(h)
+                seen.add(got.split()[0] if got else None)
+        assert seen == {None, "unknown", "predicate"}
 
 
 class TestSigmaOne:
