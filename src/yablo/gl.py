@@ -65,13 +65,24 @@ class Box(MFormula):
 
 
 def atoms_of(f: MFormula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, (Not, Box)):
-        return atoms_of(f.sub)
-    if isinstance(f, (Imp, And, Or)):
-        return atoms_of(f.left) | atoms_of(f.right)
-    return frozenset()
+    return frozenset(_atoms_and_size(f)[0])
+
+
+def _atoms_and_size(f: MFormula) -> tuple[set[str], int]:
+    """f's atoms and its number of nodes, from one walk."""
+    atoms: set[str] = set()
+    size = 0
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        size += 1
+        if isinstance(g, Atom):
+            atoms.add(g.name)
+        elif isinstance(g, (Not, Box)):
+            todo.append(g.sub)
+        elif isinstance(g, (Imp, And, Or)):
+            todo += (g.left, g.right)
+    return atoms, size
 
 
 # -- printing
@@ -301,6 +312,12 @@ def decide_gl(f: MFormula, budget: int = 200_000) -> GLResult:
 
 _BLOCK_BITS = 16  # a block of valuations is at most 2**16, the bits of one column
 
+# Node evaluations one scan may spend: each evaluation of the formula on a
+# frame's block charges its nodes times the frame's worlds.  Six million of
+# them take about 2 s (CPython 3.11, 2 vCPU); the pair budget does not bound
+# them.
+MAX_BRUTE_WORK = 6_000_000
+
 
 @lru_cache(maxsize=8)
 def _transitive_relations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -356,12 +373,14 @@ def brute_force(f: MFormula, max_worlds: int = 4, budget: int = 1 << 26) -> GLRe
     Raises GLBudgetExceeded when the scan would visit more than budget
     pairs, or, since the frames on n worlds are built before any is scanned,
     when a bound on their number (those on n - 1 worlds times 3**(n - 1))
-    exceeds what is left of it.
+    exceeds what is left of it; also when evaluating the formula on the next
+    frame would spend more than MAX_BRUTE_WORK node evaluations in all.
     """
-    names = sorted(atoms_of(f))
+    atoms, nodes = _atoms_and_size(f)
+    names = sorted(atoms)
     index = {name: k for k, name in enumerate(names)}
     stride = len(names)
-    checked = 0
+    checked = work = 0
 
     def columns(g: MFormula) -> list[int]:
         """Truth of g at each world, one column over the current block each;
@@ -406,6 +425,10 @@ def brute_force(f: MFormula, max_worlds: int = 4, budget: int = 1 << 26) -> GLRe
             for a, b in rel:
                 succ[a].append(b)
             for base in range(0, 1 << n * stride, 1 << bits):
+                work += nodes * n
+                if work > MAX_BRUTE_WORK:
+                    raise GLBudgetExceeded(f"brute-force work cap of {MAX_BRUTE_WORK} node "
+                                           f"evaluations exhausted on {n} worlds")
                 truth = columns(f)
                 everywhere = full
                 for col in truth:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from test_coding import div3n2n_without_fixup, sqrtrem_without_correction
 from test_kernel import exE_without_assumptions_banned
 from test_meta import m_refl1_without_the_range_check
-from yablo import syntax
+from yablo import coding, syntax
 from yablo.kernel import _KernelChecker
 from yablo.meta import _MetaChecker
 
@@ -59,6 +60,24 @@ def m_refl1_skips_the_range_check(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(_MetaChecker, "rule_m_refl1", m_refl1_without_the_range_check)
 
 
+def root_skips_its_correction(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(coding, "_sqrtrem", sqrtrem_without_correction)
+
+
+def division_skips_its_fixup(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(coding, "_div3n2n", div3n2n_without_fixup)
+
+
+def pair_swaps_two_tags(mp: pytest.MonkeyPatch) -> None:
+    held = coding.pair
+    swap = {coding.TAG_EQ: coding.TAG_LT, coding.TAG_LT: coding.TAG_EQ}
+    mp.setattr(coding, "pair", lambda a, b: held(swap.get(a, a), b))
+
+
+def successor_left_unfolded(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(coding, "_succ_code", lambda inner, split: coding.pair(coding.TAG_SUCC, inner))
+
+
 CRITERION_1 = "test_acceptance.py::test_criterion_1_whole_corpus_checks_within_ten_seconds"
 
 MUTANTS = [
@@ -71,4 +90,12 @@ MUTANTS = [
                   "test_kernel.py::TestCheckerWeakenings::test_exE_witness_free_in_an_open_assumption"),
     CheckerMutant("m-refl1 without its range check", m_refl1_skips_the_range_check,
                   "test_meta.py::TestCheckerWeakenings::test_m_refl1_range_outside_the_schematic_names"),
+    CheckerMutant("square root without its correction step", root_skips_its_correction,
+                  "test_coding.py::TestSquareRoot::test_squares_and_their_neighbours"),
+    CheckerMutant("recursive division without its remainder fix-up", division_skips_its_fixup,
+                  "test_coding.py::TestSquareRoot::test_division_agrees_with_divmod"),
+    CheckerMutant("pair swaps the = and < tags", pair_swaps_two_tags,
+                  "test_coding.py::TestEncoding::test_structural_values"),
+    CheckerMutant("sub_code leaves a numeral's successor unfolded", successor_left_unfolded,
+                  "test_coding.py::TestCodeSubstitution::test_successor_folds_into_numeral"),
 ]

@@ -238,6 +238,16 @@ class TestGlCommand:
         assert run_cli("gl", "--brute", "6", "[]p -> [][]p") in (0, 2)
         assert time.perf_counter() - start < 20
 
+    def test_brute_force_work_cap_exits_2_within_five_seconds(self, capsys):
+        # 71 nodes on one atom: 8.5 M pairs, inside the pair budget, but about
+        # 55 M node evaluations on the 130,023 frames of six worlds
+        formula = " & ".join(["([]([]p -> p) -> []p)"] * 8)
+        assert run_cli("gl", "--brute", "5", formula) == 0
+        start = time.perf_counter()
+        assert run_cli("gl", "--brute", "6", formula) == 2
+        assert "work cap" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5
+
     def test_brute_force_budget_exits_2(self, capsys):
         start = time.perf_counter()
         assert run_cli("gl", "--brute", "2", " & ".join("abcdefghijklmn") + " -> a") == 2

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,104 @@ class TestPairing:
             unpair(0)
         with pytest.raises(ValueError):
             pair(-1, 0)
+
+
+def seeded_roots() -> list[int]:
+    """Seeded k of 1 kbit to 1 Mbit, top bit set."""
+    rng = random.Random(18)
+    return [rng.getrandbits(bits) | 1 << bits - 1
+            for bits in (1000, 2001, 3000, 10_000, 33_333, 100_000, 1_000_000)]
+
+
+def sqrtrem_without_correction(n):
+    """coding._sqrtrem with its final correction step left out: the
+    weakening TestSquareRoot must kill."""
+    bits = n.bit_length()
+    if bits <= coding._SQRT_CUTOFF:
+        s = math.isqrt(n)
+        return s, n - s * s
+    h = (bits + 3) // 4
+    t = (4 * h - bits) // 2
+    n <<= 2 * t
+    low = (1 << h) - 1
+    s, r = sqrtrem_without_correction(n >> 2 * h)
+    q, u = coding._div2n1n(r << h | n >> h & low, s << 1, h + 1)
+    s = (s << h) + q
+    r = (u << h | n & low) - q * q
+    if t:
+        s0 = s & 1
+        s >>= 1
+        r = r + s0 * (4 * s + 1) >> 2
+    return s, r
+
+
+def div3n2n_without_fixup(a12, a3, b, b1, b2, n):
+    """coding._div3n2n with its remainder fix-up left out: the weakening
+    TestSquareRoot must kill."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = coding._div2n1n(a12, b1, n)
+    return q, (r << n | a3) - q * b2
+
+
+class TestSquareRoot:
+    """The square root unpair takes, and its division, against math.isqrt
+    and divmod."""
+
+    def test_every_small_number(self):
+        for n in range(1 << 16):
+            s = math.isqrt(n)
+            assert coding._sqrtrem(n) == (s, n - s * s)
+
+    def test_squares_and_their_neighbours(self):
+        # math.isqrt's answers are known here without calling it on megabits
+        for k in seeded_roots():
+            for n, root in ((k * k, k), (k * k - 1, k - 1), (k * k + 2 * k, k)):
+                assert coding._sqrtrem(n) == (root, n - root * root), k.bit_length()
+                if k.bit_length() <= 100_000:
+                    assert root == math.isqrt(n)
+
+    def test_powers_of_two_and_the_cutoffs(self):
+        for e in [*range(2 * coding._SQRT_CUTOFF), 100_001, 100_002]:
+            for n in (1 << e, (1 << e) - 1):
+                s = math.isqrt(n)
+                assert coding._sqrtrem(n) == (s, n - s * s), e
+        assert coding._sqrtrem(1 << (1 << 21)) == (1 << (1 << 20), 0)
+        rng = random.Random(19)
+        # a few bits either side of the root's cutoff, and of where the
+        # root's divisor, about a quarter of its input, crosses the division's
+        around = [c + d for c in (coding._SQRT_CUTOFF, 4 * coding._DIV_CUTOFF)
+                  for d in range(-6, 7)]
+        for bits in around:
+            for _ in range(20):
+                n = rng.getrandbits(bits) | 1 << bits - 1
+                s = math.isqrt(n)
+                assert coding._sqrtrem(n) == (s, n - s * s), bits
+
+    def test_division_agrees_with_divmod(self):
+        rng = random.Random(20)
+        widths = [c + d for c in (coding._DIV_CUTOFF, 2 * coding._DIV_CUTOFF) for d in (-1, 0, 1)]
+        for n in widths + [33_333, 100_000]:
+            for _ in range(10):
+                b = rng.getrandbits(n) | 1 << n - 1
+                for a in (rng.randrange(b << n), rng.getrandbits(n), (b << n) - 1):
+                    assert coding._div2n1n(a, b, n) == divmod(a, b), n
+
+    def test_unpair_inverts_pair_on_megabit_pairs(self):
+        rng = random.Random(21)
+        for bits_a, bits_b in ((5000, 5000), (1_000_000, 3), (2, 1_000_000),
+                               (250_000, 999_999), (1_000_000, 1_000_000)):
+            a, b = rng.getrandbits(bits_a), rng.getrandbits(bits_b)
+            assert unpair(pair(a, b)) == (a, b), (bits_a, bits_b)
+
+    def test_fifteen_negations_decode_within_two_seconds(self):
+        g = f("~" * 15 + "x = 0")
+        code = encode(g)
+        assert code.bit_length() > 900_000
+        start = time.perf_counter()
+        assert decode(code) == g
+        assert time.perf_counter() - start < 2
 
 
 class TestNameCodes:

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,9 @@ from yablo.gl import (
     skeleton,
 )
 from yablo.parser import MAX_DEPTH, ParseError, parse_formula, parse_modal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 VALID = [
     "[]([]p -> p) -> []p",            # the characteristic scheme
@@ -264,6 +269,14 @@ class TestBruteForceBudget:
         # 242 pairs up to four worlds; the frames on five could number 219 * 3**4
         with pytest.raises(GLBudgetExceeded, match="frames on 5 worlds"):
             brute_force(m("~bot"), 5, budget=1000)
+
+    def test_modal_workload_scans_stay_far_below_the_work_cap(self, monkeypatch):
+        workload = workloads.ModalWorkload(workloads.Api(), seed=7)
+        monkeypatch.setattr(gl, "MAX_BRUTE_WORK", gl.MAX_BRUTE_WORK // 16)
+        for g in workload.small:
+            brute_force(g, 4)
+        for g in workload.random:
+            brute_force(g, 2)
 
 
 class TestSkeletons:
