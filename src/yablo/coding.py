@@ -10,15 +10,15 @@ miss or exceed the template's free variables all raise NotACode.  It is not
 injective (a successor wrapped around a numeral decodes fine but re-encodes
 as the next numeral), which is harmless for a left inverse.
 
-A fixed point's trace of codes is built on first read and then cached on its
-DiagonalResult.  Codes double in bit length with each quotation level, and
-checking a script needs only the biconditional, so nothing on the checking
-path ever builds one, and `yablo code diag` prints only the trace's labels
-(trace_labels), so it builds none either.  replay_trace builds each code it
-checks once: the template's, the name, each probe and the fixed point's.  The
-biconditional's code, about 16 times the template's in bits, is built only to
-compare a trace that was read before replay, entry by entry; an unread trace
-stays unread, and its biconditional is checked as a formula.
+A fixed point's trace of codes is a view: each read of DiagonalResult.trace
+builds it afresh, and nothing caches it.  Codes double in bit length with each
+quotation level, and checking a script needs only the biconditional, so
+nothing on the checking path reads a trace, and `yablo code diag` prints only
+the trace's labels (trace_labels), so it builds none either.  One helper,
+_codes, builds every code of a trace but the biconditional's, for the trace and
+for replay_trace alike.  replay_trace checks each of those codes against the
+construction, once, and checks the biconditional as a formula, so it never
+builds the biconditional's code, about 16 times the template's in bits.
 
 Reading a code back is most of a replay's cost, and most of that is the
 integer square root in unpair, which is subquadratic (see unpair).  decode
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .syntax import (
     And,
@@ -523,9 +523,9 @@ class DiagonalResult:
     fixed_point is the defined atom (or the template itself when the template
     never mentions the hole).  biconditional is the definitional equivalence.
     trace is a replayable tuple of (label, code) checkpoints tying the
-    construction to the numeric coding; it is built on first read and then
-    cached on this result.  Only that read builds the biconditional's code:
-    replay_trace neither fills the cache nor needs it.
+    construction to the numeric coding.  It is a view, built afresh on each
+    read, and only a read builds the biconditional's code: replay_trace
+    checks the construction without it.
     """
 
     hole: str
@@ -534,10 +534,11 @@ class DiagonalResult:
     fixed_point: Formula
     biconditional: Formula
 
-    @cached_property
+    @property
     def trace(self) -> tuple[tuple[str, int], ...]:
-        return _build_trace(self.template, self.hole, self.params,
-                            self.biconditional, self.fixed_point)
+        codes = _codes(self, cache(unpair))
+        codes["biconditional"] = encode(self.biconditional)
+        return tuple((label, codes[label]) for label in trace_labels(self.params))
 
 
 def _unquoted(f: Formula, hole: str) -> bool:
@@ -560,29 +561,15 @@ def trace_labels(params: tuple[str, ...]) -> tuple[str, ...]:
             *(f"probe {p}:=0" for p in params), "fixed-point")
 
 
-def _checked_codes(template: Formula, hole: str, params: tuple[str, ...],
-                   fixed_point: Formula, split: Split) -> dict[str, int]:
+def _codes(result: DiagonalResult, split: Split) -> dict[str, int]:
     """A diagonal trace's codes by label, all but the biconditional's: the
     codes replay checks.  Every probe reads the template's code through
     split."""
-    tcode = encode(template)
-    first, name, _, *probes, last = trace_labels(params)
-    return {first: tcode, name: name_code(hole),
-            **{label: _sub_code(tcode, p, 0, split) for label, p in zip(probes, params)},
-            last: encode(fixed_point)}
-
-
-def _with_biconditional(codes: dict[str, int], params: tuple[str, ...],
-                        bicond: Formula) -> tuple[tuple[str, int], ...]:
-    """The trace: the checked codes and the biconditional's, in label order."""
-    return tuple((label, codes[label] if label in codes else encode(bicond))
-                 for label in trace_labels(params))
-
-
-def _build_trace(template: Formula, hole: str, params: tuple[str, ...],
-                 bicond: Formula, fixed_point: Formula) -> tuple[tuple[str, int], ...]:
-    codes = _checked_codes(template, hole, params, fixed_point, cache(unpair))
-    return _with_biconditional(codes, params, bicond)
+    tcode = encode(result.template)
+    first, name, _, *probes, last = trace_labels(result.params)
+    return {first: tcode, name: name_code(result.hole),
+            **{label: _sub_code(tcode, p, 0, split) for label, p in zip(probes, result.params)},
+            last: encode(result.fixed_point)}
 
 
 def diagonalize(template: Formula, hole: str, params: tuple[str, ...]) -> DiagonalResult:
@@ -624,29 +611,23 @@ def replay_trace(result: DiagonalResult) -> bool:
     """Check a diagonal construction against the numeric coding, from scratch.
 
     Raises DiagonalError on the first mismatch.  The template's code must
-    decode back to the template, each substitution probe must agree with
-    decode/substitute/encode's route, the fixed point's code must decode to
-    the fixed point, and the biconditional must be alpha-equivalent to
-    iff(fixed_point, template).  Each code is built once, and unpaired once:
-    the decode-back checks and the probes read codes through one memo of
-    unpair, which this call makes, fills from the codes themselves and drops
-    when it returns.  A trace read (or seeded) before replay is also compared,
-    entry by entry, against a fresh build, the biconditional's code included;
-    an unread trace stays unread, so replay builds no biconditional code and
-    leaves the cache empty.
+    decode back to the template, the name must decode to the hole, each
+    substitution probe must agree with decode/substitute/encode's route, the
+    fixed point's code must decode to the fixed point, and the biconditional
+    must be alpha-equivalent to iff(fixed_point, template).  So every entry of
+    the trace but the biconditional's is checked against the construction,
+    and that one is checked as a formula: its code is never built.  Each code
+    is built once, and unpaired once: the decode-back checks and the probes
+    read codes through one memo of unpair, which this call makes, fills from
+    the codes themselves and drops when it returns.
     """
     split = cache(unpair)
-    codes = _checked_codes(result.template, result.hole, result.params, result.fixed_point, split)
-    if "trace" in result.__dict__:  # read before replay: compare it whole
-        expected = _with_biconditional(codes, result.params, result.biconditional)
-        if len(expected) != len(result.trace):
-            raise DiagonalError("trace length mismatch")
-        for (lbl_e, code_e), (lbl_g, code_g) in zip(expected, result.trace):
-            if lbl_e != lbl_g or code_e != code_g:
-                raise DiagonalError(f"trace entry {lbl_g!r} does not replay")
-    first, _, _, *probes, last = trace_labels(result.params)
+    codes = _codes(result, split)
+    first, name, _, *probes, last = trace_labels(result.params)
     if _decode(codes[first], split) != result.template:
         raise DiagonalError("template code does not decode back")
+    if decode_name(codes[name]) != result.hole:
+        raise DiagonalError(f"name code does not decode to {result.hole}")
     for label, p in zip(probes, result.params):
         if codes[label] != encode(substitute_many(result.template, {p: Num(0)})):
             raise DiagonalError(f"substitution probe for {p} disagrees with the syntax route")

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 import pytest
 
 from test_coding import div3n2n_without_fixup, sqrtrem_without_correction
 from test_kernel import exE_without_assumptions_banned
 from test_meta import m_refl1_without_the_range_check
-from yablo import coding, syntax
-from yablo.kernel import _KernelChecker
+from yablo import coding, gl, syntax
+from yablo.kernel import _Fail, _KernelChecker
 from yablo.meta import _MetaChecker
+from yablo.syntax import ForAll, Imp, Num, PredApp, Var, alpha_eq, identity_box, iff
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,8 @@ def merge_drops_its_right_operand(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(syntax, "_merge", lambda a, b: a)
 
 
-def exE_ignores_open_assumptions(mp: pytest.MonkeyPatch) -> None:
-    mp.setattr(_KernelChecker, "rule_exE", exE_without_assumptions_banned)
-
-
-def m_refl1_skips_the_range_check(mp: pytest.MonkeyPatch) -> None:
-    mp.setattr(_MetaChecker, "rule_m_refl1", m_refl1_without_the_range_check)
+def rule_patch(cls: type, rule: str, weakened: Callable) -> Callable[[pytest.MonkeyPatch], None]:
+    return lambda mp: mp.setattr(cls, rule, weakened)
 
 
 def root_skips_its_correction(mp: pytest.MonkeyPatch) -> None:
@@ -78,7 +76,143 @@ def successor_left_unfolded(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(coding, "_succ_code", lambda inner, split: coding.pair(coding.TAG_SUCC, inner))
 
 
+def gd1_inside_blocks(self, step) -> None:
+    """rule_gd1 without its check that the cited step stands outside every
+    assumption block."""
+    if len(step.refs) != 1:
+        raise _Fail("gd1 cites exactly one step")
+    rec = self.records.get(step.refs[0])
+    if rec is None:
+        raise _Fail(f"cites step {step.refs[0]}, which does not exist")
+    if not alpha_eq(step.formula, identity_box(rec.formula)):
+        raise _Fail("stated formula is not the self-substituted quotation of the cited step")
+
+
+def allI_without_eigencondition(self, step) -> None:
+    """rule_allI without its check that the variable is free in no active
+    assumption."""
+    fi = self._one(step)
+    if not isinstance(step.formula, ForAll):
+        raise _Fail("stated formula is not universally quantified")
+    if not alpha_eq(fi, step.formula.body):
+        raise _Fail("cited step does not match the quantified body")
+
+
+def gd3_without_sigma1(self, step) -> None:
+    """rule_gd3 without its check that the antecedent is Σ1."""
+    f = step.formula
+    if not isinstance(f, Imp):
+        raise _Fail("stated formula is not an implication")
+    if not alpha_eq(f.right, identity_box(f.left)):
+        raise _Fail("consequent is not the self-substituted quotation of the antecedent")
+
+
+def tableau_jump(premise: Callable[[frozenset, gl.Box], frozenset]) -> Callable:
+    """gl._Search._step with the left side of a modal jump's premise built by
+    premise(gamma, box) from the saturated left side and the box jumped on."""
+
+    def step(self, gamma, delta):
+        if gamma & delta or gl.Falsum() in gamma:
+            return True
+        for f in self._sorted(gamma):
+            if isinstance(f, gl.Not):
+                return gamma - {f}, delta | {f.sub}
+            if isinstance(f, gl.And):
+                return gamma - {f} | {f.left, f.right}, delta
+            if isinstance(f, gl.Or):
+                first = self.solve(gamma - {f} | {f.left}, delta)
+                return first if first is not True else self.solve(gamma - {f} | {f.right}, delta)
+            if isinstance(f, gl.Imp):
+                first = self.solve(gamma - {f}, delta | {f.left})
+                return first if first is not True else self.solve(gamma - {f} | {f.right}, delta)
+        for f in self._sorted(delta):
+            if isinstance(f, gl.Falsum):
+                return gamma, delta - {f}
+            if isinstance(f, gl.Not):
+                return gamma | {f.sub}, delta - {f}
+            if isinstance(f, gl.Imp):
+                return gamma | {f.left}, delta - {f} | {f.right}
+            if isinstance(f, gl.Or):
+                return gamma, delta - {f} | {f.left, f.right}
+            if isinstance(f, gl.And):
+                first = self.solve(gamma, delta - {f} | {f.left})
+                return first if first is not True else self.solve(gamma, delta - {f} | {f.right})
+        failures = []
+        for f in self._sorted(delta):
+            if isinstance(f, gl.Box):
+                out = self.solve(premise(gamma, f), frozenset({f.sub}))
+                if out is True:
+                    return True
+                failures.append(out)
+        return gl._Tree(frozenset(a.name for a in gamma if isinstance(a, gl.Atom)), tuple(failures))
+
+    return step
+
+
+def k4_jump(gamma: frozenset, box: gl.Box) -> frozenset:
+    """K4's premise: the boxes and their bodies, without GL's Löb premise."""
+    return frozenset(x for b in gamma if isinstance(b, gl.Box) for x in (b, b.sub))
+
+
+def k_jump(gamma: frozenset, box: gl.Box) -> frozenset:
+    """K's premise: the boxes' bodies only."""
+    return frozenset(b.sub for b in gamma if isinstance(b, gl.Box))
+
+
+def diagonalize_skipping(check: str) -> Callable[[pytest.MonkeyPatch], None]:
+    """Patch in coding.diagonalize with the parameter check named check left
+    out.  Kernel scripts reach it through fix_intro."""
+
+    def weakened(template, hole, params):
+        for p in params:
+            Var(p)
+        fail = coding.DiagonalError
+        if check != "duplicate" and len(set(params)) != len(params):
+            raise fail(f"duplicate parameter in {hole}({', '.join(params)})")
+        stray = set(template.free) - set(params)
+        if check != "stray" and stray:
+            raise fail(f"free variables {sorted(stray)} are not parameters of {hole}")
+        arities = [n for name, n in template.uses if name == hole]
+        if check != "unquoted" and arities and coding._unquoted(template, hole):
+            raise fail(f"predicate {hole} occurs outside every quotation")
+        if check != "arity" and any(n != len(params) for n in arities):
+            raise fail(f"predicate {hole} is applied to other than {len(params)} arguments")
+        fixed_point = PredApp(hole, tuple(Var(p) for p in params)) if arities else template
+        return coding.DiagonalResult(hole, tuple(params), template, fixed_point,
+                                     iff(fixed_point, template))
+
+    return lambda mp: mp.setattr(coding, "diagonalize", weakened)
+
+
+def replay_skipping(check: str) -> Callable[[pytest.MonkeyPatch], None]:
+    """Patch in coding.replay_trace with the check named check left out.  Its
+    killers call replay through the module, so they run the weakened copy."""
+
+    def weakened(result):
+        split = cache(coding.unpair)
+        codes = coding._codes(result, split)
+        first, name, _, *probes, last = coding.trace_labels(result.params)
+        fail = coding.DiagonalError
+        if check != "template" and coding._decode(codes[first], split) != result.template:
+            raise fail("template code does not decode back")
+        if check != "name" and coding.decode_name(codes[name]) != result.hole:
+            raise fail(f"name code does not decode to {result.hole}")
+        for label, p in zip(probes, result.params):
+            probe = coding.encode(syntax.substitute_many(result.template, {p: Num(0)}))
+            if check != "probes" and codes[label] != probe:
+                raise fail(f"substitution probe for {p} disagrees with the syntax route")
+        if check != "fixed point" and coding._decode(codes[last], split) != result.fixed_point:
+            raise fail("final trace entry is not the fixed point's code")
+        if check != "tie" and not alpha_eq(result.biconditional,
+                                           iff(result.fixed_point, result.template)):
+            raise fail("biconditional does not tie fixed point to template")
+        return True
+
+    return lambda mp: mp.setattr(coding, "replay_trace", weakened)
+
+
 CRITERION_1 = "test_acceptance.py::test_criterion_1_whole_corpus_checks_within_ten_seconds"
+TABLEAU_JUMP = "test_gl.py::TestTableau::test_jump_keeps_the_loeb_premise_and_the_boxes"
 
 MUTANTS = [
     CheckerMutant("uses skip quotation templates", uses_skip_quotation_templates,
@@ -86,9 +220,11 @@ MUTANTS = [
     CheckerMutant("binder keeps its variable free", binder_keeps_its_variable, CRITERION_1),
     CheckerMutant("ordered merge drops its right operand", merge_drops_its_right_operand,
                   CRITERION_1),
-    CheckerMutant("exE ignores the open assumptions", exE_ignores_open_assumptions,
+    CheckerMutant("exE ignores the open assumptions",
+                  rule_patch(_KernelChecker, "rule_exE", exE_without_assumptions_banned),
                   "test_kernel.py::TestCheckerWeakenings::test_exE_witness_free_in_an_open_assumption"),
-    CheckerMutant("m-refl1 without its range check", m_refl1_skips_the_range_check,
+    CheckerMutant("m-refl1 without its range check",
+                  rule_patch(_MetaChecker, "rule_m_refl1", m_refl1_without_the_range_check),
                   "test_meta.py::TestCheckerWeakenings::test_m_refl1_range_outside_the_schematic_names"),
     CheckerMutant("square root without its correction step", root_skips_its_correction,
                   "test_coding.py::TestSquareRoot::test_squares_and_their_neighbours"),
@@ -98,4 +234,39 @@ MUTANTS = [
                   "test_coding.py::TestEncoding::test_structural_values"),
     CheckerMutant("sub_code leaves a numeral's successor unfolded", successor_left_unfolded,
                   "test_coding.py::TestCodeSubstitution::test_successor_folds_into_numeral"),
+    CheckerMutant("gd1 cites a step inside an assumption block",
+                  rule_patch(_KernelChecker, "rule_gd1", gd1_inside_blocks),
+                  "test_kernel.py::TestQuotationRules::test_gd1_refuses_steps_inside_blocks"),
+    CheckerMutant("allI without its eigenvariable check",
+                  rule_patch(_KernelChecker, "rule_allI", allI_without_eigencondition),
+                  "test_kernel.py::TestQuantifierRules::test_allI_eigencondition"),
+    CheckerMutant("gd3 without its sigma1 check",
+                  rule_patch(_KernelChecker, "rule_gd3", gd3_without_sigma1),
+                  "test_kernel.py::TestQuotationRules::test_gd3_needs_existential_fragment"),
+    CheckerMutant("m-g2 on any judgment",
+                  rule_patch(_MetaChecker, "rule_m_g2", lambda self, step: self._one(step)),
+                  "test_meta.py::TestRefutationDiscipline::test_g2_requires_the_consistency_sentence"),
+    CheckerMutant("tableau jumps as K4", rule_patch(gl._Search, "_step", tableau_jump(k4_jump)),
+                  TABLEAU_JUMP),
+    CheckerMutant("tableau jumps as K", rule_patch(gl._Search, "_step", tableau_jump(k_jump)),
+                  TABLEAU_JUMP),
+    CheckerMutant("diagonalize allows a duplicate parameter", diagonalize_skipping("duplicate"),
+                  "test_kernel.py::TestIllFormedDefinitions::test_duplicate_parameter"),
+    CheckerMutant("diagonalize allows a stray free variable", diagonalize_skipping("stray"),
+                  "test_kernel.py::TestIllFormedDefinitions::test_stray_free_variable"),
+    CheckerMutant("diagonalize allows the hole outside every quotation",
+                  diagonalize_skipping("unquoted"),
+                  "test_kernel.py::TestIllFormedDefinitions::test_self_outside_every_quotation"),
+    CheckerMutant("diagonalize allows the hole at the wrong arity", diagonalize_skipping("arity"),
+                  "test_kernel.py::TestIllFormedDefinitions::test_self_at_the_wrong_arity"),
+    CheckerMutant("replay skips the template's decode-back", replay_skipping("template"),
+                  "test_coding.py::TestDiagonalization::test_tampered_trace_is_detected"),
+    CheckerMutant("replay skips the name check", replay_skipping("name"),
+                  "test_coding.py::TestDiagonalization::test_wrong_name_code_is_detected"),
+    CheckerMutant("replay skips the probe comparison", replay_skipping("probes"),
+                  "test_coding.py::TestReplayBuildsOnce::test_reused_probe_is_checked_against_the_syntax_route"),
+    CheckerMutant("replay skips the fixed point's decode-back", replay_skipping("fixed point"),
+                  "test_coding.py::TestReplayBuildsOnce::test_wrong_fixed_point_code_is_detected"),
+    CheckerMutant("replay skips the tie", replay_skipping("tie"),
+                  "test_coding.py::TestReplayBuildsOnce::test_biconditional_that_does_not_tie_is_detected"),
 ]

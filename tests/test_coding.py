@@ -324,13 +324,6 @@ def judged_template() -> tuple:
     return template, "H", ("k",)
 
 
-def with_trace(result: DiagonalResult, trace: tuple) -> DiagonalResult:
-    """A copy of result whose cached trace is the given one."""
-    copy = dataclasses.replace(result)
-    copy.__dict__["trace"] = trace  # what reading the cached property stores
-    return copy
-
-
 class TestDiagonalization:
     def test_fixed_point_is_the_named_atom(self):
         template, hole, params = judged_template()
@@ -366,23 +359,26 @@ class TestDiagonalization:
         result = diagonalize(template, "H", ("k",))
         assert result.fixed_point == template
 
+    # The replay checks below are called through coding.replay_trace, so
+    # that each kills the checker mutant that patches in a replay without it;
+    # each tampers with one code only, which every other check lets through.
     def test_tampered_trace_is_detected(self):
-        template, hole, params = judged_template()
-        result = diagonalize(template, hole, params)
-        broken = list(result.trace)
-        label, code = broken[0]
-        broken[0] = (label, code + 1)
-        tampered = with_trace(result, tuple(broken))
-        with pytest.raises(DiagonalError):
-            replay_trace(tampered)
+        template = f("Prov[ ~H ; ]")  # no parameters, so no probe reads its code
+        result = diagonalize(template, "H", ())
+        real = coding.encode
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coding, "encode", lambda g: real(Falsum()) if g == template else real(g))
+            with pytest.raises(DiagonalError, match="template code does not decode back"):
+                coding.replay_trace(result)
 
-    def test_relabeled_trace_is_detected(self):
-        template, hole, params = judged_template()
-        result = diagonalize(template, hole, params)
-        broken = list(result.trace)
-        broken[1] = ("renamed", broken[1][1])
-        with pytest.raises(DiagonalError):
-            replay_trace(with_trace(result, tuple(broken)))
+    def test_wrong_name_code_is_detected(self):
+        result = diagonalize(f("all x. k < x"), "H", ("k",))  # no other code names H
+        real = coding.name_code
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coding, "name_code", lambda name: real(name) + 1 if name == "H" else real(name))
+            assert dict(result.trace)["name"] == real("I")
+            with pytest.raises(DiagonalError, match="name code does not decode to H"):
+                coding.replay_trace(result)
 
     def test_fix_intro_registers_definition(self):
         sig = base_signature()
@@ -415,35 +411,24 @@ def fresh_fix_intro() -> DiagonalResult:
     return fix_intro(base_signature(), "H", ("k",), f("all x. k < x -> Prov[ ~self(x) ; x := x ]"))
 
 
-def trace_fields(result: DiagonalResult) -> tuple:
-    return (result.template, result.hole, result.params, result.biconditional, result.fixed_point)
-
-
-def tampered(result: DiagonalResult, label: str) -> DiagonalResult:
-    """A copy of result whose cached trace has the entry labelled label off by one."""
-    trace = tuple((lbl, code + 1 if lbl == label else code) for lbl, code in result.trace)
-    assert trace != result.trace
-    return with_trace(result, trace)
-
-
 class TestReplayBuildsOnce:
     def test_replay_of_an_unread_trace_builds_no_trace(self, monkeypatch):
         calls = []
-        build = coding._build_trace
+        codes = coding._codes
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        def counted(result, split):
+            calls.append(result)
+            return codes(result, split)
 
-        monkeypatch.setattr(coding, "_build_trace", counted)
+        monkeypatch.setattr(coding, "_codes", counted)
         result = fresh_fix_intro()
         assert replay_trace(result)
-        assert calls == []
-        assert "trace" not in result.__dict__  # replay leaves the cache empty
-        assert result.trace == build(*trace_fields(result))
-        assert len(calls) == 1  # the read builds it, once
-        assert result.trace == build(*trace_fields(result))
-        assert len(calls) == 1
+        assert calls == [result]  # replay builds the codes it checks, once
+        # the trace is a view: each read builds it afresh, and nothing keeps it
+        first = result.trace
+        assert result.trace == first
+        assert len(calls) == 3
+        assert "trace" not in result.__dict__
 
     def test_replay_of_an_unread_trace_encodes_no_biconditional(self, monkeypatch):
         result = fresh_fix_intro()
@@ -462,7 +447,7 @@ class TestReplayBuildsOnce:
 
     def test_replay_codes_stay_near_the_template_size(self, monkeypatch):
         # five negations deep the biconditional's code is about 16 times the
-        # template's in bits; replaying an unread trace builds nothing that big
+        # template's in bits; replay builds nothing that big
         result = fix_intro(base_signature(), "D", ("k",),
                            f("all x. (k < x) -> Prov[ ~~~~~self(x) ; x := x ]"))
         template_bits = encode(result.template).bit_length()
@@ -486,42 +471,28 @@ class TestReplayBuildsOnce:
         assert trace_labels(("k", "m")) == (
             "template", "name", "biconditional", "probe k:=0", "probe m:=0", "fixed-point")
 
-    @pytest.mark.parametrize("label", ["biconditional", "probe k:=0"])
-    def test_tampered_entry_read_before_replay_is_detected(self, label):
-        result = fresh_fix_intro()
-        with pytest.raises(DiagonalError, match="does not replay"):
-            replay_trace(tampered(result, label))
-
-    def test_reused_probe_is_checked_against_the_syntax_route(self, monkeypatch):
+    def test_reused_probe_is_checked_against_the_syntax_route(self):
         # replay computes its probes with the unpairs it shares, not through sub_code
         real = coding._sub_code
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coding, "_sub_code", lambda code, var, n, split: real(code, var, n, split) + 1)
+            with pytest.raises(DiagonalError, match="disagrees with the syntax route"):
+                coding.replay_trace(fresh_fix_intro())
 
-        def wrong(code, var, n, split):
-            return real(code, var, n, split) + 1
-
-        monkeypatch.setattr(coding, "_sub_code", wrong)
-        with pytest.raises(DiagonalError, match="disagrees with the syntax route"):
-            replay_trace(fresh_fix_intro())
-
-    def test_wrong_fixed_point_code_is_detected(self, monkeypatch):
+    def test_wrong_fixed_point_code_is_detected(self):
         result = fresh_fix_intro()
         real = coding.encode
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coding, "encode",
+                       lambda g: real(Falsum()) if g == result.fixed_point else real(g))
+            with pytest.raises(DiagonalError, match="not the fixed point's code"):
+                coding.replay_trace(result)
 
-        def wrong(g):
-            return real(Falsum()) if g == result.fixed_point else real(g)
-
-        monkeypatch.setattr(coding, "encode", wrong)
-        with pytest.raises(DiagonalError, match="not the fixed point's code"):
-            replay_trace(result)
-
-    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
-    def test_biconditional_that_does_not_tie_is_detected(self, read):
+    def test_biconditional_that_does_not_tie_is_detected(self):
         result = fresh_fix_intro()
         swapped = dataclasses.replace(result, biconditional=iff(result.template, Falsum()))
-        if read:
-            swapped.trace
         with pytest.raises(DiagonalError, match="does not tie"):
-            replay_trace(swapped)
+            coding.replay_trace(swapped)
 
 
 def nested_result(depth: int) -> DiagonalResult:
@@ -546,12 +517,8 @@ def unpaired(monkeypatch) -> list[int]:
 
 
 class TestReplayUnpairsOnce:
-    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
-    def test_replay_unpairs_the_template_code_once(self, read, request):
-        result = nested_result(5)
-        if read:
-            result.trace
-        unpaired = request.getfixturevalue("unpaired")  # spy on replay only
+    def test_replay_unpairs_the_template_code_once(self, unpaired):
+        result = nested_result(5)  # building a definition unpairs nothing
         assert replay_trace(result)
         assert unpaired.count(encode(result.template)) == 1
         assert len(unpaired) == len(set(unpaired))  # no code is unpaired twice

@@ -199,7 +199,7 @@ class TestCheckingBuildsNoTrace:
         def refuse(*args):
             raise TraceBuilt
 
-        monkeypatch.setattr(coding, "_build_trace", refuse)
+        monkeypatch.setattr(coding, "_codes", refuse)
         fresh = Registry()
         for name in fresh.names():
             assert fresh.check(name).ok, name

@@ -147,6 +147,12 @@ class TestTableau:
         b = decide_gl(m("[]p | []~p"))
         assert (a.model, a.world) == (b.model, b.world)
 
+    def test_jump_keeps_the_loeb_premise_and_the_boxes(self):
+        # K4's jump leaves the box jumped on out of its premise, and K's
+        # leaves out the other boxes too: each then refutes one of these
+        for text in ("[]([]p -> p) -> []p", "[]p -> [][]p"):
+            assert decide_gl(m(text)).valid, text
+
     def test_budget_exhaustion(self):
         deep = m("[]([]([]([]p -> p) -> []p) -> q) -> ([]q | [](q -> p))")
         with pytest.raises(GLBudgetExceeded):

@@ -487,6 +487,26 @@ class TestDefinitionalRules:
         rejected_at(run("1. R(k, k) -> bot by unfold R", "P"), 1, "no definition")
 
 
+class TestIllFormedDefinitions:
+    """A def the diagonal construction refuses is a violation before step 1."""
+
+    def refused(self, definition: str, fragment: str) -> None:
+        rejected_at(run("1. P -> P by taut", "P -> P", defs=definition + "\n"), None, fragment)
+
+    def test_duplicate_parameter(self):
+        self.refused("def D(k, k) := k < k", "duplicate parameter in D(k, k)")
+
+    def test_stray_free_variable(self):
+        self.refused("def D(k) := x < k", "free variables ['x'] are not parameters of D")
+
+    def test_self_outside_every_quotation(self):
+        self.refused("def D(k) := self(k) -> bot", "predicate D occurs outside every quotation")
+
+    def test_self_at_the_wrong_arity(self):
+        self.refused("def D(k) := Prov[ self(k, k) ; k := k ]",
+                     "predicate D is applied to other than 1 arguments")
+
+
 class TestQuotationRules:
     def test_gd1_quotes_a_depth_zero_step(self):
         body = (
