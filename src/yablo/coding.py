@@ -624,14 +624,21 @@ def replay_trace(result: DiagonalResult) -> bool:
     split = cache(unpair)
     codes = _codes(result, split)
     first, name, _, *probes, last = trace_labels(result.params)
-    if _decode(codes[first], split) != result.template:
+
+    def decodes_to(code: int, want: Formula) -> bool:
+        try:
+            return _decode(code, split) == want
+        except NotACode:
+            return False
+
+    if not decodes_to(codes[first], result.template):
         raise DiagonalError("template code does not decode back")
     if decode_name(codes[name]) != result.hole:
         raise DiagonalError(f"name code does not decode to {result.hole}")
     for label, p in zip(probes, result.params):
         if codes[label] != encode(substitute_many(result.template, {p: Num(0)})):
             raise DiagonalError(f"substitution probe for {p} disagrees with the syntax route")
-    if _decode(codes[last], split) != result.fixed_point:
+    if not decodes_to(codes[last], result.fixed_point):
         raise DiagonalError("final trace entry is not the fixed point's code")
     if not alpha_eq(result.biconditional, iff(result.fixed_point, result.template)):
         raise DiagonalError("biconditional does not tie fixed point to template")
@@ -639,10 +646,14 @@ def replay_trace(result: DiagonalResult) -> bool:
 
 
 def pred_rename(f: Formula, old: str, new: str) -> Formula:
-    """Rename a predicate symbol everywhere, quotation templates included."""
+    """Rename a predicate symbol everywhere, quotation templates included.
+    A subformula that never applies old is returned as it is, so only the
+    paths down to old's applications are rebuilt."""
+    if all(name != old for name, _ in f.uses):
+        return f
     match f:
-        case PredApp(name, args):
-            return PredApp(new if name == old else name, args)
+        case PredApp(_, args):
+            return PredApp(new, args)
         case Not(s):
             return Not(pred_rename(s, old, new))
         case Imp(l, r):

@@ -315,10 +315,17 @@ class BlockChecker:
         return handle
 
     def declare(self) -> None:
-        """Install the script's definitions in the signature."""
+        """Install the script's definitions in the signature.  A definition is
+        diagonalized by fix_intro on its first install only, and keeps the
+        template that passed; later checks just define it in their own
+        signature."""
         for d in self.script.defs:
             try:
-                fix_intro(self.sig, d.name, d.params, d.body)
+                if d.template is None:
+                    template = fix_intro(self.sig, d.name, d.params, d.body).template
+                    object.__setattr__(d, "template", template)
+                else:
+                    self.sig.define(d.name, d.params, d.template)
             except (SyntaxBuildError, DiagonalError) as e:
                 raise _Fail(f"definition {d.name}: {e}") from None
 

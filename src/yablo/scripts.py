@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .parser import ParseError, parse_formula, parse_term
 from .syntax import Formula, Term
@@ -44,9 +45,17 @@ class ScriptError(ValueError):
 
 @dataclass(frozen=True)
 class Definition:
+    """A `def` line.  The checkers diagonalize it on its first install and
+    keep the template they built, with `self` renamed to name, in
+    ``template``: later checks install that in their signature and skip the
+    diagonal construction.  ``template`` is not a field, so it takes no part in
+    equality, hashing or the repr, and it is set only once the construction
+    has passed every check."""
+
     name: str
     params: tuple[str, ...]
     body: Formula  # self-references spelled with the `self` predicate
+    template: ClassVar[Formula | None] = None
 
 
 @dataclass(frozen=True)

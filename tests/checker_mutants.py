@@ -18,8 +18,8 @@ import pytest
 from test_coding import div3n2n_without_fixup, sqrtrem_without_correction
 from test_kernel import exE_without_assumptions_banned
 from test_meta import m_refl1_without_the_range_check
-from yablo import coding, gl, syntax
-from yablo.kernel import _Fail, _KernelChecker
+from yablo import coding, gl, kernel, syntax
+from yablo.kernel import BlockChecker, _Fail, _KernelChecker
 from yablo.meta import _MetaChecker
 from yablo.syntax import ForAll, Imp, Num, PredApp, Var, alpha_eq, identity_box, iff
 
@@ -211,6 +211,50 @@ def replay_skipping(check: str) -> Callable[[pytest.MonkeyPatch], None]:
     return lambda mp: mp.setattr(coding, "replay_trace", weakened)
 
 
+def declare_reusing_without_define(self) -> None:
+    """BlockChecker.declare whose reuse path leaves the kept template out of
+    the signature."""
+    for d in self.script.defs:
+        try:
+            if d.template is None:
+                template = kernel.fix_intro(self.sig, d.name, d.params, d.body).template
+                object.__setattr__(d, "template", template)
+        except (syntax.SyntaxBuildError, coding.DiagonalError) as e:
+            raise _Fail(f"definition {d.name}: {e}") from None
+
+
+def templates_kept_by_name(mp: pytest.MonkeyPatch) -> None:
+    """Patch in BlockChecker.declare keeping each template under its
+    predicate name, in a table made afresh for each run, rather than on its
+    Definition."""
+    kept: dict[str, syntax.Formula] = {}
+
+    def weakened(self) -> None:
+        for d in self.script.defs:
+            try:
+                if d.name not in kept:
+                    kept[d.name] = kernel.fix_intro(self.sig, d.name, d.params, d.body).template
+                else:
+                    self.sig.define(d.name, d.params, kept[d.name])
+            except (syntax.SyntaxBuildError, coding.DiagonalError) as e:
+                raise _Fail(f"definition {d.name}: {e}") from None
+
+    mp.setattr(BlockChecker, "declare", weakened)
+
+
+def definitional_without_body_check(self, step, folded_on_left: bool) -> None:
+    """_KernelChecker._definitional without comparing the other side with the
+    instantiated definition body."""
+    if self.sig.definition(step.name) is None:
+        raise _Fail(f"predicate {step.name} has no definition")
+    if not isinstance(step.formula, Imp):
+        raise _Fail("stated formula is not an implication")
+    app = step.formula.left if folded_on_left else step.formula.right
+    if not (isinstance(app, PredApp) and app.name == step.name):
+        side = "antecedent" if folded_on_left else "consequent"
+        raise _Fail(f"{side} is not an application of {step.name}")
+
+
 CRITERION_1 = "test_acceptance.py::test_criterion_1_whole_corpus_checks_within_ten_seconds"
 TABLEAU_JUMP = "test_gl.py::TestTableau::test_jump_keeps_the_loeb_premise_and_the_boxes"
 
@@ -269,4 +313,12 @@ MUTANTS = [
                   "test_coding.py::TestReplayBuildsOnce::test_wrong_fixed_point_code_is_detected"),
     CheckerMutant("replay skips the tie", replay_skipping("tie"),
                   "test_coding.py::TestReplayBuildsOnce::test_biconditional_that_does_not_tie_is_detected"),
+    CheckerMutant("declare reuses a template without defining it",
+                  rule_patch(BlockChecker, "declare", declare_reusing_without_define),
+                  "test_kernel.py::TestDefinitionsDiagonalizedOnce::test_checked_twice_in_fresh_signatures"),
+    CheckerMutant("declare keeps templates by predicate name", templates_kept_by_name,
+                  "test_kernel.py::TestDefinitionsDiagonalizedOnce::test_each_script_unfolds_its_own_body"),
+    CheckerMutant("unfold and fold skip the body comparison",
+                  rule_patch(_KernelChecker, "_definitional", definitional_without_body_check),
+                  "test_kernel.py::TestDefinitionalRules::test_unfold_body_must_match"),
 ]

@@ -1,9 +1,12 @@
+import gc
 import importlib
 
 import pytest
 
 from checker_mutants import MUTANTS
-from yablo.syntax import canonical
+from yablo.kernel import check_kernel_script
+from yablo.scripts import Definition, parse_kernel_script
+from yablo.syntax import base_signature, canonical
 
 
 def run_test(node_id: str) -> None:
@@ -17,12 +20,37 @@ def run_test(node_id: str) -> None:
     target()
 
 
+def forget_templates() -> None:
+    """Drop the template every live Definition keeps from its first check."""
+    for obj in gc.get_objects():
+        if isinstance(obj, Definition):
+            vars(obj).pop("template", None)
+
+
+def forget_derived() -> None:
+    """Drop what yablo keeps from earlier work: canonical forms, whose cache
+    keys compare nodes by structure only, and the templates Definitions keep,
+    which may be shared with other tests (the session registry's are).  So no
+    such result computed on either side of a weakening outlives it."""
+    canonical.cache_clear()
+    forget_templates()
+
+
+def test_forgotten_template_is_rebuilt():
+    script = parse_kernel_script('theorem t "t"\ndef D(k) := k < 1\n'
+                                 "1. D(0) -> 0 < 1 by unfold D\nconclusion D(0) -> 0 < 1\n")
+    assert check_kernel_script(script, base_signature(), {}).ok
+    (d,) = script.defs
+    assert d.template is not None
+    forget_templates()
+    assert d.template is None
+    assert check_kernel_script(script, base_signature(), {}).ok
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_checker_mutant_is_killed(mutant, monkeypatch):
     run_test(mutant.killer)
-    # canonical's cache keys compare nodes by structure only, so no form
-    # computed on either side of the weakening may outlive it
-    canonical.cache_clear()
+    forget_derived()
     try:
         with monkeypatch.context() as mp:
             mutant.apply(mp)
@@ -30,5 +58,5 @@ def test_checker_mutant_is_killed(mutant, monkeypatch):
     except (Exception, pytest.fail.Exception):
         return
     finally:
-        canonical.cache_clear()
+        forget_derived()
     pytest.fail(f"{mutant.name} survives {mutant.killer}")

@@ -39,20 +39,25 @@ from yablo.coding import (
     name_code,
     numeral_code,
     pair,
+    pred_rename,
     replay_trace,
     sub_code,
     trace_labels,
     unpair,
 )
-from yablo.corpus import golden_codes
+from yablo.corpus import definitions_used, golden_codes
 from yablo.parser import parse_formula
+from yablo.scripts import parse_kernel_script
 from yablo.syntax import (
+    And,
     Box,
+    Exists,
     Falsum,
     ForAll,
     Imp,
     Lt,
     Not,
+    Or,
     PredApp,
     Succ,
     Var,
@@ -488,11 +493,65 @@ class TestReplayBuildsOnce:
             with pytest.raises(DiagonalError, match="not the fixed point's code"):
                 coding.replay_trace(result)
 
+    # a code that decodes to no formula at all is a mismatch, not a crash
+    def test_template_code_that_is_no_code_is_detected(self):
+        template = f("Prov[ ~H ; ]")
+        result = diagonalize(template, "H", ())
+        real = coding.encode
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coding, "encode", lambda g: 0 if g == template else real(g))
+            with pytest.raises(DiagonalError, match="template code does not decode back"):
+                coding.replay_trace(result)
+
+    def test_fixed_point_code_that_is_no_code_is_detected(self):
+        result = fresh_fix_intro()
+        real = coding.encode
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coding, "encode", lambda g: 0 if g == result.fixed_point else real(g))
+            with pytest.raises(DiagonalError, match="not the fixed point's code"):
+                coding.replay_trace(result)
+
     def test_biconditional_that_does_not_tie_is_detected(self):
         result = fresh_fix_intro()
         swapped = dataclasses.replace(result, biconditional=iff(result.template, Falsum()))
         with pytest.raises(DiagonalError, match="does not tie"):
             coding.replay_trace(swapped)
+
+
+def rename_rebuilding_every_node(g, old: str, new: str):
+    """pred_rename as it was before it kept untouched subformulas."""
+    match g:
+        case PredApp(name, args):
+            return PredApp(new if name == old else name, args)
+        case Not(s):
+            return Not(rename_rebuilding_every_node(s, old, new))
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            return type(g)(rename_rebuilding_every_node(l, old, new),
+                           rename_rebuilding_every_node(r, old, new))
+        case ForAll(v, b) | Exists(v, b):
+            return type(g)(v, rename_rebuilding_every_node(b, old, new))
+        case Box(tpl, subst):
+            return Box(rename_rebuilding_every_node(tpl, old, new), subst)
+    return g
+
+
+class TestPredRename:
+    def test_agrees_with_the_full_rebuild(self, registry):
+        defs = definitions_used(registry) + [
+            parse_kernel_script(workloads.nested_script(depth)).defs[0] for depth in range(1, 8)]
+        for d in defs:
+            assert pred_rename(d.body, "self", d.name) == \
+                rename_rebuilding_every_node(d.body, "self", d.name), d.name
+
+    def test_untouched_subformulas_come_back_as_they_are(self):
+        body = f("all x. (k < x) -> (Q(x) & Prov[ ~self(x) ; x := x ])")
+        renamed = pred_rename(body, "self", "D")
+        assert renamed == f("all x. (k < x) -> (Q(x) & Prov[ ~D(x) ; x := x ])")
+        assert renamed.body.left is body.body.left
+        assert renamed.body.right.left is body.body.right.left
+        assert renamed.body.right.right.template.sub.args is body.body.right.right.template.sub.args
+        no_self = f("all x. (k < x) -> Q(x)")
+        assert pred_rename(no_self, "self", "D") is no_self
 
 
 def nested_result(depth: int) -> DiagonalResult:

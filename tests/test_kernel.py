@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from importlib import resources
 
 import pytest
 
+from yablo import kernel
 from yablo.kernel import (
     MAX_TAUT_ATOMS,
     _collect_atoms,
@@ -45,9 +47,15 @@ def f(text: str):
     return parse_formula(text)
 
 
+def parsed(body: str, conclusion: str, defs: str = ""):
+    return parse_kernel_script(f'theorem t_inline "inline"\n{defs}{body}\nconclusion {conclusion}\n')
+
+
 def run(body: str, conclusion: str, defs: str = ""):
-    text = f'theorem t_inline "inline"\n{defs}{body}\nconclusion {conclusion}\n'
-    script = parse_kernel_script(text)
+    return check(parsed(body, conclusion, defs))
+
+
+def check(script):
     sig = base_signature()
     sig.declare("P", 0)
     sig.declare("Q", 1)
@@ -505,6 +513,53 @@ class TestIllFormedDefinitions:
     def test_self_at_the_wrong_arity(self):
         self.refused("def D(k) := Prov[ self(k, k) ; k := k ]",
                      "predicate D is applied to other than 1 arguments")
+
+
+class TestDefinitionsDiagonalizedOnce:
+    """A parsed def is diagonalized on its first check only: later checks of
+    the same Definition object install the template it kept."""
+
+    UNFOLD = "1. YJ(0) -> (all x. (0 < x) -> Prov[ ~YJ(x) ; x := x ]) by unfold YJ"
+    UNFOLDED = "YJ(0) -> (all x. (0 < x) -> Prov[ ~YJ(x) ; x := x ])"
+    YG_DEF = "def YG(k) := all x. (k < x) -> ~Prov[ self(x) ; x := x ]\n"
+
+    def test_mutants_of_one_script_diagonalize_each_definition_once(self):
+        script = parsed(self.UNFOLD, self.UNFOLDED, defs=YJ_DEF + self.YG_DEF)
+        mutants = [dataclasses.replace(script, conclusion=f(c)) for c in ("P", "bot", "YG(0)")]
+        mutants.append(dataclasses.replace(script, steps=()))
+        calls = []
+        real = kernel.fix_intro
+
+        def counted(sig, name, params, body):
+            calls.append(name)
+            return real(sig, name, params, body)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "fix_intro", counted)
+            assert check(script).ok
+            for mutant in mutants:
+                assert not check(mutant).ok
+        assert calls == ["YJ", "YG"]
+
+    def test_ill_formed_definition_is_rejected_on_every_check(self):
+        script = parsed("1. P -> P by taut", "P -> P", defs="def D(k, k) := k < k\n")
+        first, second = check(script), check(script)
+        assert first == second
+        rejected_at(second, None, "definition D: duplicate parameter in D(k, k)")
+
+    def test_checked_twice_in_fresh_signatures(self):
+        script = parsed(self.UNFOLD, self.UNFOLDED, defs=YJ_DEF)
+        first, second = check(script), check(script)
+        assert first == second
+        assert second.ok and second.steps_checked == 1
+
+    def test_each_script_unfolds_its_own_body(self):
+        cases = [("k < 1", "0 < 1"), ("1 < k", "1 < 0")]
+        for order in (cases, cases[::-1]):
+            scripts = [parsed(f"1. D(0) -> {at_0} by unfold D", f"D(0) -> {at_0}",
+                              defs=f"def D(k) := {body}\n")
+                       for body, at_0 in order]
+            assert [check(s).ok for s in scripts] == [True, True], order
 
 
 class TestQuotationRules:
