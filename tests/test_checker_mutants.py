@@ -20,20 +20,16 @@ def run_test(node_id: str) -> None:
     target()
 
 
-def forget_templates() -> None:
-    """Drop the template every live Definition keeps from its first check."""
+def forget_derived() -> None:
+    """Drop what yablo keeps from earlier work, so that nothing computed on
+    either side of a weakening outlives it: canonical forms, whose cache keys
+    compare nodes by structure only, and the template every live Definition
+    keeps from its first check, which other tests may share (the session
+    registry's Definitions are)."""
+    canonical.cache_clear()
     for obj in gc.get_objects():
         if isinstance(obj, Definition):
             vars(obj).pop("template", None)
-
-
-def forget_derived() -> None:
-    """Drop what yablo keeps from earlier work: canonical forms, whose cache
-    keys compare nodes by structure only, and the templates Definitions keep,
-    which may be shared with other tests (the session registry's are).  So no
-    such result computed on either side of a weakening outlives it."""
-    canonical.cache_clear()
-    forget_templates()
 
 
 def test_forgotten_template_is_rebuilt():
@@ -42,7 +38,7 @@ def test_forgotten_template_is_rebuilt():
     assert check_kernel_script(script, base_signature(), {}).ok
     (d,) = script.defs
     assert d.template is not None
-    forget_templates()
+    forget_derived()
     assert d.template is None
     assert check_kernel_script(script, base_signature(), {}).ok
 
