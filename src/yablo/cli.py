@@ -5,6 +5,9 @@ Exit codes are uniform across subcommands: 0 when the input is accepted
 well-formed but rejected (a failed check, an invalid formula), and 2 when
 the input cannot be processed at all (unreadable file, parse error,
 exhausted search budget, a code over its size limit).
+
+Each subcommand imports the modules it runs when it runs, so `yablo gl`
+loads no kernel-side module and `yablo code` loads no checker.
 """
 
 from __future__ import annotations
@@ -13,29 +16,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .coding import (
-    MAX_CODE_BITS,
-    NotACode,
-    code_bits,
-    code_from_str,
-    code_to_str,
-    decode,
-    encode,
-    fix_intro,
-    trace_labels,
-)
-from .corpus import Registry
-from .gl import GLBudgetExceeded, brute_force, decide_gl, forces
-from .kernel import CheckReport, check_kernel_script
-from .meta import check_meta_script
-from .parser import ParseError, parse_formula, parse_modal
-from .scripts import ScriptError, parse_definition, parse_script
-from .syntax import Formula, base_signature, print_formula
+
+if TYPE_CHECKING:
+    from .kernel import CheckReport
+    from .syntax import Formula
 
 
 def _report_lines(name: str, kind: str, rep: CheckReport) -> list[str]:
+    from .syntax import print_formula
+
     if rep.ok:
         lines = [f"ok: {name} [{kind}] ({rep.steps_checked} steps)"]
         if rep.conclusion is not None:
@@ -47,6 +39,8 @@ def _report_lines(name: str, kind: str, rep: CheckReport) -> list[str]:
 
 
 def _report_json(name: str, kind: str, rep: CheckReport) -> dict:
+    from .syntax import print_formula
+
     return {
         "name": name,
         "kind": kind,
@@ -60,6 +54,13 @@ def _report_json(name: str, kind: str, rep: CheckReport) -> dict:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .corpus import Registry
+    from .kernel import check_kernel_script
+    from .meta import check_meta_script
+    from .parser import ParseError
+    from .scripts import ScriptError, parse_script
+    from .syntax import base_signature
+
     try:
         text = Path(args.path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -83,6 +84,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove_all(args: argparse.Namespace) -> int:
+    from .corpus import Registry
+
     registry = Registry()
     results = registry.check_all()
     if args.json:
@@ -110,6 +113,9 @@ def _print_model(result) -> None:
 
 
 def _cmd_gl(args: argparse.Namespace) -> int:
+    from .gl import GLBudgetExceeded, brute_force, decide_gl, forces, parse_modal
+    from .parser import ParseError
+
     try:
         f = parse_modal(args.formula)
     except ParseError as e:
@@ -141,6 +147,8 @@ def _cmd_gl(args: argparse.Namespace) -> int:
 
 def _over_budget(f: Formula) -> bool:
     """Whether f's code could outgrow MAX_CODE_BITS; if so, says so on stderr."""
+    from .coding import MAX_CODE_BITS, code_bits
+
     bits = code_bits(f)
     if bits <= MAX_CODE_BITS:
         return False
@@ -150,6 +158,11 @@ def _over_budget(f: Formula) -> bool:
 
 
 def _cmd_code(args: argparse.Namespace) -> int:
+    from .coding import NotACode, code_from_str, code_to_str, decode, encode, fix_intro, trace_labels
+    from .parser import ParseError, parse_formula
+    from .scripts import ScriptError, parse_definition
+    from .syntax import base_signature, print_formula
+
     if args.what == "encode":
         try:
             f = parse_formula(args.value)

@@ -6,8 +6,12 @@ diagonal collapse into the jump (the jumped-on box joins the premise on the
 left), and a brute-force search over small transitive irreflexive frames
 used to cross-check the tableau.  Skeleton extraction maps quantifier-free
 object formulas onto modal shapes so corpus lemmas can be replayed here.
-Only the concrete syntax is shared: `parser.parse_modal` reads modal
-formulas with the object language's lexer, and `print_modal` writes them.
+Only the concrete syntax is shared: `parse_modal` reads modal formulas with
+the object language's parser (its tokens, precedence climbing, nesting cap
+and ParseError), and `print_modal` writes them.  `->`, `|` and `&` are
+right associative, loosest first; `~`, the box `[]` (also written `[ ]`)
+and `(` each count one nesting level; `bot` is falsum and any other
+identifier is an atom.
 
 Termination of the tableau needs no loop check: boolean decomposition only
 shrinks the non-modal part, and each modal jump strictly grows the set of
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import syntax as fol
+from .parser import ParseError, _Parser, _parse
 
 
 class MFormula:
@@ -99,6 +104,41 @@ def print_modal(f: MFormula, prec: int = 0) -> str:
     op, mine = {Imp: ("->", 1), Or: ("|", 2), And: ("&", 3)}[type(f)]
     s = f"{print_modal(f.left, mine + 1)} {op} {print_modal(f.right, mine)}"
     return f"({s})" if prec > mine else s
+
+
+# -- parsing
+
+# operator -> (precedence, right associative, constructor)
+_MODAL_CONNECTIVES = {"->": (1, True, Imp), "|": (2, True, Or), "&": (3, True, And)}
+
+
+class _ModalParser(_Parser):
+    """The GL oracle's formulas, on the object language's tokens."""
+
+    def modal(self, depth: int) -> MFormula:
+        return self.binary(_MODAL_CONNECTIVES, self.modal_unary, 1, depth)
+
+    def modal_unary(self, depth: int) -> MFormula:
+        kind, text, pos = self.toks[self.i]
+        if text == "~":
+            return Not(self.modal_unary(self.enter(depth)))
+        if text == "[":
+            depth = self.enter(depth)
+            self.eat("]")
+            return Box(self.modal_unary(depth))
+        if text == "(":
+            inner = self.modal(self.enter(depth))
+            self.eat(")")
+            return inner
+        if kind == "ident":
+            self.i += 1
+            return Falsum() if text == "bot" else Atom(text)
+        raise ParseError("expected a modal formula", pos)
+
+
+def parse_modal(src: str) -> MFormula:
+    p = _ModalParser(src)
+    return _parse(p, p.modal)
 
 
 # -- models

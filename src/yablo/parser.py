@@ -1,4 +1,4 @@
-"""Concrete syntax for terms, formulas and the GL oracle's modal formulas.
+"""Concrete syntax for terms and formulas.
 
 Grammar, loosest first: `->` then `|` then `&` (all right associative), then
 `~` and the quantifiers.  Comparisons bind tighter than connectives, `*`
@@ -20,10 +20,9 @@ at the token that crosses the cap; the CLI exits 2 on it.  A numeral is one
 node of any size up to the interpreter's int-from-str digit limit (4300
 digits by default); a longer one is a parse error.
 
-Modal formulas (`parse_modal`) use the same tokens, precedence climbing,
-nesting cap and ParseError.  `->`, `|` and `&` are as above; `~`, the box
-`[]` (also written `[ ]`) and `(` each count one level; `bot` is falsum and
-any other identifier is an atom.
+The GL oracle's modal grammar (`gl.parse_modal`) lives in `gl`, on this
+module's tokens, nesting cap and ParseError.  This module does not import
+`gl`, so the kernel leg never loads the oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import re
 import sys
 
-from . import gl
 from .syntax import (
     And,
     Box,
@@ -66,7 +64,6 @@ _QUANTIFIERS = {"all": ForAll, "exists": Exists}
 # operator -> (precedence, right associative, constructor)
 _CONNECTIVES = {"->": (1, True, Imp), "|": (2, True, Or), "&": (3, True, And)}
 _TERM_OPS = {"+": (1, False, Plus), "*": (2, False, Times)}
-_MODAL_CONNECTIVES = {"->": (1, True, gl.Imp), "|": (2, True, gl.Or), "&": (3, True, gl.And)}
 
 
 class ParseError(ValueError):
@@ -243,30 +240,6 @@ class _Parser:
         raise ParseError("expected a term", pos)
 
 
-class _ModalParser(_Parser):
-    """The GL oracle's formulas, on the object language's tokens."""
-
-    def modal(self, depth: int) -> gl.MFormula:
-        return self.binary(_MODAL_CONNECTIVES, self.modal_unary, 1, depth)
-
-    def modal_unary(self, depth: int) -> gl.MFormula:
-        kind, text, pos = self.toks[self.i]
-        if text == "~":
-            return gl.Not(self.modal_unary(self.enter(depth)))
-        if text == "[":
-            depth = self.enter(depth)
-            self.eat("]")
-            return gl.Box(self.modal_unary(depth))
-        if text == "(":
-            inner = self.modal(self.enter(depth))
-            self.eat(")")
-            return inner
-        if kind == "ident":
-            self.i += 1
-            return gl.Falsum() if text == "bot" else gl.Atom(text)
-        raise ParseError("expected a modal formula", pos)
-
-
 def _parse(p: _Parser, start):
     """start's parse from depth 0, which must use up p's input."""
     out = start(0)
@@ -284,8 +257,3 @@ def parse_formula(src: str) -> Formula:
 def parse_term(src: str) -> Term:
     p = _Parser(src)
     return _parse(p, p.term)
-
-
-def parse_modal(src: str) -> gl.MFormula:
-    p = _ModalParser(src)
-    return _parse(p, p.modal)

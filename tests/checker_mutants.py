@@ -9,6 +9,10 @@ tests/test_checker_mutants.py runs every entry and fails on a survivor.
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
+import textwrap
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
@@ -21,7 +25,7 @@ from test_meta import m_refl1_without_the_range_check
 from yablo import coding, gl, kernel, syntax
 from yablo.kernel import BlockChecker, _Fail, _KernelChecker
 from yablo.meta import _MetaChecker
-from yablo.syntax import ForAll, Imp, Num, PredApp, Var, alpha_eq, identity_box, iff
+from yablo.syntax import Num, PredApp, Var, alpha_eq, iff
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,30 @@ def rule_patch(cls: type, rule: str, weakened: Callable) -> Callable[[pytest.Mon
     return lambda mp: mp.setattr(cls, rule, weakened)
 
 
+def without_check(cls: type, method: str, message: str) -> Callable[[pytest.MonkeyPatch], None]:
+    """Patch in cls.method with the one `raise _Fail(...)` whose message
+    contains message replaced by `pass`.  The weakened copy is compiled from
+    the method's own source, in its module's globals."""
+    func = getattr(cls, method)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    ast.increment_lineno(tree, func.__code__.co_firstlineno - 1)
+    sites = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "_Fail"
+             and message in ast.unparse(node.exc.args[0])]
+    if len(sites) != 1:
+        raise ValueError(f"{len(sites)} checks in {cls.__name__}.{method} say {message!r}")
+
+    class Drop(ast.NodeTransformer):
+        def visit_Raise(self, node: ast.Raise) -> ast.AST:
+            return ast.copy_location(ast.Pass(), node) if node is sites[0] else node
+
+    code = compile(Drop().visit(tree), inspect.getsourcefile(func), "exec")
+    weakened: dict[str, Callable] = {}
+    exec(code, vars(sys.modules[func.__module__]), weakened)
+    return lambda mp: mp.setattr(cls, method, weakened[method])
+
+
 def root_skips_its_correction(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(coding, "_sqrtrem", sqrtrem_without_correction)
 
@@ -74,37 +102,6 @@ def pair_swaps_two_tags(mp: pytest.MonkeyPatch) -> None:
 
 def successor_left_unfolded(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(coding, "_succ_code", lambda inner, split: coding.pair(coding.TAG_SUCC, inner))
-
-
-def gd1_inside_blocks(self, step) -> None:
-    """rule_gd1 without its check that the cited step stands outside every
-    assumption block."""
-    if len(step.refs) != 1:
-        raise _Fail("gd1 cites exactly one step")
-    rec = self.records.get(step.refs[0])
-    if rec is None:
-        raise _Fail(f"cites step {step.refs[0]}, which does not exist")
-    if not alpha_eq(step.formula, identity_box(rec.formula)):
-        raise _Fail("stated formula is not the self-substituted quotation of the cited step")
-
-
-def allI_without_eigencondition(self, step) -> None:
-    """rule_allI without its check that the variable is free in no active
-    assumption."""
-    fi = self._one(step)
-    if not isinstance(step.formula, ForAll):
-        raise _Fail("stated formula is not universally quantified")
-    if not alpha_eq(fi, step.formula.body):
-        raise _Fail("cited step does not match the quantified body")
-
-
-def gd3_without_sigma1(self, step) -> None:
-    """rule_gd3 without its check that the antecedent is Σ1."""
-    f = step.formula
-    if not isinstance(f, Imp):
-        raise _Fail("stated formula is not an implication")
-    if not alpha_eq(f.right, identity_box(f.left)):
-        raise _Fail("consequent is not the self-substituted quotation of the antecedent")
 
 
 def tableau_jump(premise: Callable[[frozenset, gl.Box], frozenset]) -> Callable:
@@ -242,21 +239,9 @@ def templates_kept_by_name(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(BlockChecker, "declare", weakened)
 
 
-def definitional_without_body_check(self, step, folded_on_left: bool) -> None:
-    """_KernelChecker._definitional without comparing the other side with the
-    instantiated definition body."""
-    if self.sig.definition(step.name) is None:
-        raise _Fail(f"predicate {step.name} has no definition")
-    if not isinstance(step.formula, Imp):
-        raise _Fail("stated formula is not an implication")
-    app = step.formula.left if folded_on_left else step.formula.right
-    if not (isinstance(app, PredApp) and app.name == step.name):
-        side = "antecedent" if folded_on_left else "consequent"
-        raise _Fail(f"{side} is not an application of {step.name}")
-
-
 CRITERION_1 = "test_acceptance.py::test_criterion_1_whole_corpus_checks_within_ten_seconds"
 TABLEAU_JUMP = "test_gl.py::TestTableau::test_jump_keeps_the_loeb_premise_and_the_boxes"
+WEAKENINGS = "test_kernel.py::TestCheckerWeakenings"
 
 MUTANTS = [
     CheckerMutant("uses skip quotation templates", uses_skip_quotation_templates,
@@ -279,16 +264,16 @@ MUTANTS = [
     CheckerMutant("sub_code leaves a numeral's successor unfolded", successor_left_unfolded,
                   "test_coding.py::TestCodeSubstitution::test_successor_folds_into_numeral"),
     CheckerMutant("gd1 cites a step inside an assumption block",
-                  rule_patch(_KernelChecker, "rule_gd1", gd1_inside_blocks),
+                  without_check(_KernelChecker, "rule_gd1", "outside every assumption block"),
                   "test_kernel.py::TestQuotationRules::test_gd1_refuses_steps_inside_blocks"),
     CheckerMutant("allI without its eigenvariable check",
-                  rule_patch(_KernelChecker, "rule_allI", allI_without_eigencondition),
+                  without_check(_KernelChecker, "rule_allI", "free in an active assumption"),
                   "test_kernel.py::TestQuantifierRules::test_allI_eigencondition"),
     CheckerMutant("gd3 without its sigma1 check",
-                  rule_patch(_KernelChecker, "rule_gd3", gd3_without_sigma1),
+                  without_check(_KernelChecker, "rule_gd3", "existential fragment"),
                   "test_kernel.py::TestQuotationRules::test_gd3_needs_existential_fragment"),
     CheckerMutant("m-g2 on any judgment",
-                  rule_patch(_MetaChecker, "rule_m_g2", lambda self, step: self._one(step)),
+                  without_check(_MetaChecker, "rule_m_g2", "consistency sentence"),
                   "test_meta.py::TestRefutationDiscipline::test_g2_requires_the_consistency_sentence"),
     CheckerMutant("tableau jumps as K4", rule_patch(gl._Search, "_step", tableau_jump(k4_jump)),
                   TABLEAU_JUMP),
@@ -319,6 +304,24 @@ MUTANTS = [
     CheckerMutant("declare keeps templates by predicate name", templates_kept_by_name,
                   "test_kernel.py::TestDefinitionsDiagonalizedOnce::test_each_script_unfolds_its_own_body"),
     CheckerMutant("unfold and fold skip the body comparison",
-                  rule_patch(_KernelChecker, "_definitional", definitional_without_body_check),
+                  without_check(_KernelChecker, "_definitional", "instantiated definition body"),
                   "test_kernel.py::TestDefinitionalRules::test_unfold_body_must_match"),
+    CheckerMutant("taut accepts any formula",
+                  without_check(_KernelChecker, "rule_taut", "not a tautological consequence"),
+                  f"{WEAKENINGS}::test_taut_rejects_a_non_consequence"),
+    CheckerMutant("mp without its consequent check",
+                  without_check(_KernelChecker, "rule_mp", "does not match the consequent"),
+                  f"{WEAKENINGS}::test_mp_stated_formula_must_be_the_consequent"),
+    CheckerMutant("gd2 without the consequent's restricted substitution",
+                  without_check(_KernelChecker, "rule_gd2", "quoted consequent does not"),
+                  f"{WEAKENINGS}::test_gd2_consequent_carries_the_restricted_substitution"),
+    CheckerMutant("lob accepts any shape-correct formula",
+                  without_check(_KernelChecker, "rule_lob", "if provable then true"),
+                  f"{WEAKENINGS}::test_lob_antecedent_must_quote_the_soundness_assertion"),
+    CheckerMutant("reiterate accepts any formula",
+                  without_check(_KernelChecker, "rule_reiterate", "differs from the cited step"),
+                  f"{WEAKENINGS}::test_reiterate_repeats_the_cited_step"),
+    CheckerMutant("m-mp without its consequent check",
+                  without_check(_MetaChecker, "rule_m_mp", "does not match the consequent"),
+                  "test_meta.py::TestCheckerWeakenings::test_m_mp_stated_formula_must_be_the_consequent"),
 ]

@@ -1,7 +1,11 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from modalgen import small_formulas
@@ -500,3 +504,61 @@ class TestCodeCommand:
     def test_diag_rejects_garbage(self, capsys):
         assert run_cli("code", "diag", "not a clause") == 2
         assert "error" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# run main(argv) with its output swallowed; print the exit code and the yablo
+# modules loaded
+LOADED_BY_MAIN = """
+import contextlib, io, json, sys
+from yablo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "yablo")]))
+"""
+
+
+def in_fresh_interpreter(code: str, *argv: str) -> str:
+    """The output of `python -c code argv`, with this tree's src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+def loaded_by(*argv: str) -> set[str]:
+    """The yablo modules a fresh interpreter loads to run `yablo argv`, which must exit 0."""
+    code, modules = json.loads(in_fresh_interpreter(LOADED_BY_MAIN, *argv))
+    assert code == 0
+    return set(modules)
+
+
+class TestModuleLoading:
+    """Each subcommand loads only the modules it runs, and the kernel leg
+    never loads the GL oracle."""
+
+    def test_gl_loads_the_oracle_and_its_syntax_only(self):
+        assert loaded_by("gl", "[]([]p -> p) -> []p") == {
+            "yablo", "yablo.cli", "yablo.gl", "yablo.parser", "yablo.syntax"}
+
+    @pytest.mark.parametrize("argv", [
+        ("code", "encode", "all x. x < S(x)"),
+        ("code", "diag", "D(k) := all x. (k < x) -> Prov[ ~self(x) ; x := x ]"),
+    ], ids=["encode", "diag"])
+    def test_code_loads_no_checker_and_no_oracle(self, argv):
+        loaded = loaded_by(*argv)
+        assert "yablo.coding" in loaded
+        assert not loaded & {"yablo.kernel", "yablo.meta", "yablo.corpus", "yablo.gl"}
+
+    @pytest.mark.parametrize("argv", [
+        ("check", str(SRC / "yablo" / "corpus" / "lem_yj_box_step.prf")),
+        ("prove-all",),
+    ], ids=["check", "prove-all"])
+    def test_checkers_load_no_oracle(self, argv):
+        loaded = loaded_by(*argv)
+        assert "yablo.kernel" in loaded
+        assert "yablo.gl" not in loaded
+
+    def test_kernel_import_leaves_the_oracle_unloaded(self):
+        probe = "import sys, yablo.kernel; print('yablo.gl' in sys.modules)"
+        assert in_fresh_interpreter(probe).strip() == "False"

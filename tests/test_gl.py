@@ -22,10 +22,11 @@ from yablo.gl import (
     brute_force,
     decide_gl,
     forces,
+    parse_modal,
     print_modal,
     skeleton,
 )
-from yablo.parser import MAX_DEPTH, ParseError, parse_formula, parse_modal
+from yablo.parser import MAX_DEPTH, ParseError, parse_formula
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402

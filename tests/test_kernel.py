@@ -441,6 +441,31 @@ class TestCheckerWeakenings:
         with pytest.raises(AssertionError):
             self.test_exE_witness_free_in_an_open_assumption()
 
+    def test_taut_rejects_a_non_consequence(self):
+        rejected_at(run("1. bot by taut", "bot"), 1, "not a tautological consequence")
+
+    def test_mp_stated_formula_must_be_the_consequent(self):
+        body = (
+            "1. (0 = 0 -> 0 = 0) -> (0 = 0 -> 0 = 0) by taut\n"
+            "2. 0 = 0 -> 0 = 0 by taut\n"
+            "3. bot by mp 1, 2"
+        )
+        rejected_at(run(body, "bot"), 3, "stated formula does not match the consequent")
+
+    def test_gd2_consequent_carries_the_restricted_substitution(self):
+        stated = ("Prov[ x < y -> x < y + 1 ; x := k, y := k ] -> "
+                  "(Prov[ x < y ; x := k, y := k ] -> Prov[ x < y + 1 ; x := k, y := u ])")
+        rejected_at(run(f"1. {stated} by gd2", stated),
+                    1, "quoted consequent does not carry the restricted substitution")
+
+    def test_lob_antecedent_must_quote_the_soundness_assertion(self):
+        stated = "Prov[ 0 = 0 ;] -> Prov[ bot ;]"
+        rejected_at(run(f"1. {stated} by lob", stated), 1, "if provable then true")
+
+    def test_reiterate_repeats_the_cited_step(self):
+        rejected_at(run("1. 0 = 0 by numeval\n2. bot by reiterate 1", "bot"),
+                    2, "stated formula differs from the cited step")
+
 
 class TestArithmeticRules:
     def test_unknown_axiom_name(self):

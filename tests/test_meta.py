@@ -190,6 +190,16 @@ class TestCheckerWeakenings:
         with pytest.raises(pytest.fail.Exception):
             self.test_m_refl1_range_outside_the_schematic_names()
 
+    def test_m_mp_stated_formula_must_be_the_consequent(self):
+        resolver = StubResolver(kernel={"imp": f("P -> P"), "p": f("P")})
+        body = (
+            "1. Prv: P -> P by m-kernel imp\n"
+            "2. Prv: P by m-kernel p\n"
+            "3. Prv: bot by m-mp 1, 2\n"
+        )
+        rejected_at(run(body, "Prv: bot", resolver=resolver),
+                    3, "stated formula does not match the consequent")
+
 
 EXISTS_BODY = "exists x. (k < x) & Prov[ Q(z) ; z := x ]"
 
