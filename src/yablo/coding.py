@@ -246,6 +246,11 @@ TAG_EXISTS = 14
 TAG_PRED = 15
 TAG_BOX = 16
 
+# The node kinds whose payload is a pair of two parts, by tag.
+_KINDS = {TAG_PLUS: Plus, TAG_TIMES: Times, TAG_EQ: Eq, TAG_LT: Lt, TAG_IMP: Imp,
+          TAG_AND: And, TAG_OR: Or, TAG_FORALL: ForAll, TAG_EXISTS: Exists}
+_TAGS = {cls: tag for tag, cls in _KINDS.items()}
+
 _NIL = 0
 
 # How a reader of codes unpairs them: unpair itself, or, where one call reads
@@ -276,10 +281,8 @@ def encode_term(t: Term) -> int:
             return pair(TAG_VAR, name_code(name))
         case Succ(a):
             return pair(TAG_SUCC, encode_term(a))
-        case Plus(l, r):
-            return pair(TAG_PLUS, pair(encode_term(l), encode_term(r)))
-        case Times(l, r):
-            return pair(TAG_TIMES, pair(encode_term(l), encode_term(r)))
+        case Plus(l, r) | Times(l, r):
+            return pair(_TAGS[type(t)], pair(encode_term(l), encode_term(r)))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -287,22 +290,14 @@ def encode(f: Formula) -> int:
     match f:
         case Falsum():
             return pair(TAG_FALSUM, 0)
-        case Eq(l, r):
-            return pair(TAG_EQ, pair(encode_term(l), encode_term(r)))
-        case Lt(l, r):
-            return pair(TAG_LT, pair(encode_term(l), encode_term(r)))
+        case Eq(l, r) | Lt(l, r):
+            return pair(_TAGS[type(f)], pair(encode_term(l), encode_term(r)))
         case Not(s):
             return pair(TAG_NOT, encode(s))
-        case Imp(l, r):
-            return pair(TAG_IMP, pair(encode(l), encode(r)))
-        case And(l, r):
-            return pair(TAG_AND, pair(encode(l), encode(r)))
-        case Or(l, r):
-            return pair(TAG_OR, pair(encode(l), encode(r)))
-        case ForAll(v, b):
-            return pair(TAG_FORALL, pair(name_code(v), encode(b)))
-        case Exists(v, b):
-            return pair(TAG_EXISTS, pair(name_code(v), encode(b)))
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            return pair(_TAGS[type(f)], pair(encode(l), encode(r)))
+        case ForAll(v, b) | Exists(v, b):
+            return pair(_TAGS[type(f)], pair(name_code(v), encode(b)))
         case PredApp(name, args):
             return pair(TAG_PRED, pair(name_code(name), _cons_list([encode_term(a) for a in args])))
         case Box(tpl, subst):
@@ -389,8 +384,7 @@ def _decode_term(code: int, split: Split) -> Term:
         return Succ(_decode_term(payload, split))
     if tag in (TAG_PLUS, TAG_TIMES):
         l, r = split(payload)
-        cls = Plus if tag == TAG_PLUS else Times
-        return cls(_decode_term(l, split), _decode_term(r, split))
+        return _KINDS[tag](_decode_term(l, split), _decode_term(r, split))
     raise NotACode(f"tag {_digits(tag)} is not a term tag")
 
 
@@ -414,18 +408,15 @@ def _decode(code: int, split: Split) -> Formula:
         return Falsum()
     if tag in (TAG_EQ, TAG_LT):
         l, r = split(payload)
-        cls = Eq if tag == TAG_EQ else Lt
-        return cls(_decode_term(l, split), _decode_term(r, split))
+        return _KINDS[tag](_decode_term(l, split), _decode_term(r, split))
     if tag == TAG_NOT:
         return Not(_decode(payload, split))
     if tag in (TAG_IMP, TAG_AND, TAG_OR):
         l, r = split(payload)
-        cls = {TAG_IMP: Imp, TAG_AND: And, TAG_OR: Or}[tag]
-        return cls(_decode(l, split), _decode(r, split))
+        return _KINDS[tag](_decode(l, split), _decode(r, split))
     if tag in (TAG_FORALL, TAG_EXISTS):
         v, b = split(payload)
-        cls = ForAll if tag == TAG_FORALL else Exists
-        return cls(_decoded_var(v).name, _decode(b, split))
+        return _KINDS[tag](_decoded_var(v).name, _decode(b, split))
     if tag == TAG_PRED:
         nm, args = split(payload)
         name = decode_name(nm)
@@ -656,16 +647,10 @@ def pred_rename(f: Formula, old: str, new: str) -> Formula:
             return PredApp(new, args)
         case Not(s):
             return Not(pred_rename(s, old, new))
-        case Imp(l, r):
-            return Imp(pred_rename(l, old, new), pred_rename(r, old, new))
-        case And(l, r):
-            return And(pred_rename(l, old, new), pred_rename(r, old, new))
-        case Or(l, r):
-            return Or(pred_rename(l, old, new), pred_rename(r, old, new))
-        case ForAll(v, b):
-            return ForAll(v, pred_rename(b, old, new))
-        case Exists(v, b):
-            return Exists(v, pred_rename(b, old, new))
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            return type(f)(pred_rename(l, old, new), pred_rename(r, old, new))
+        case ForAll(v, b) | Exists(v, b):
+            return type(f)(v, pred_rename(b, old, new))
         case Box(tpl, subst):
             return Box(pred_rename(tpl, old, new), subst)
         case _:

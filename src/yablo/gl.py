@@ -8,10 +8,11 @@ used to cross-check the tableau.  Skeleton extraction maps quantifier-free
 object formulas onto modal shapes so corpus lemmas can be replayed here.
 Only the concrete syntax is shared: `parse_modal` reads modal formulas with
 the object language's parser (its tokens, precedence climbing, nesting cap
-and ParseError), and `print_modal` writes them.  `->`, `|` and `&` are
-right associative, loosest first; `~`, the box `[]` (also written `[ ]`)
-and `(` each count one nesting level; `bot` is falsum and any other
-identifier is an atom.
+and ParseError), and `print_modal` writes them.  Both read CONNECTIVES,
+which takes each connective's symbol and precedence from `syntax`'s table:
+`->`, `|` and `&` are right associative, loosest first.  `~`, the box `[]`
+(also written `[ ]`) and `(` each count one nesting level; `bot` is falsum
+and any other identifier is an atom.
 
 Termination of the tableau needs no loop check: boolean decomposition only
 shrinks the non-modal part, and each modal jump strictly grows the set of
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import syntax as fol
-from .parser import ParseError, _Parser, _parse
+from .parser import ParseError, _operators, _Parser, _parse
 
 
 class MFormula:
@@ -90,6 +91,12 @@ def _atoms_and_size(f: MFormula) -> tuple[set[str], int]:
     return atoms, size
 
 
+# each object connective's modal counterpart, whose symbol and precedence
+# are the object connective's
+_MIRRORS = {fol.Imp: Imp, fol.Or: Or, fol.And: And}
+CONNECTIVES = {cls: fol.CONNECTIVES[obj] for obj, cls in _MIRRORS.items()}
+
+
 # -- printing
 
 def print_modal(f: MFormula, prec: int = 0) -> str:
@@ -101,15 +108,14 @@ def print_modal(f: MFormula, prec: int = 0) -> str:
         return "~" + print_modal(f.sub, 4)
     if isinstance(f, Box):
         return "[]" + print_modal(f.sub, 4)
-    op, mine = {Imp: ("->", 1), Or: ("|", 2), And: ("&", 3)}[type(f)]
+    op, mine = CONNECTIVES[type(f)]
     s = f"{print_modal(f.left, mine + 1)} {op} {print_modal(f.right, mine)}"
     return f"({s})" if prec > mine else s
 
 
 # -- parsing
 
-# operator -> (precedence, right associative, constructor)
-_MODAL_CONNECTIVES = {"->": (1, True, Imp), "|": (2, True, Or), "&": (3, True, And)}
+_MODAL_CONNECTIVES = _operators(CONNECTIVES, True)
 
 
 class _ModalParser(_Parser):
@@ -510,12 +516,8 @@ def skeleton(f: fol.Formula) -> MFormula:
         return Atom(fol.print_formula(f))
     if isinstance(f, fol.Not):
         return Not(skeleton(f.sub))
-    if isinstance(f, fol.Imp):
-        return Imp(skeleton(f.left), skeleton(f.right))
-    if isinstance(f, fol.And):
-        return And(skeleton(f.left), skeleton(f.right))
-    if isinstance(f, fol.Or):
-        return Or(skeleton(f.left), skeleton(f.right))
+    if isinstance(f, (fol.Imp, fol.And, fol.Or)):
+        return _MIRRORS[type(f)](skeleton(f.left), skeleton(f.right))
     if isinstance(f, fol.Box):
         return Box(skeleton(fol.apply_box_subst(f)))
     raise NotSkeletonizable(f"quantifier at {fol.print_formula(f)}")

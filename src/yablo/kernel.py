@@ -203,28 +203,20 @@ def match_schema(pattern: Formula, instance: Formula) -> dict[str, Term] | None:
                 if isinstance(i, Num):  # S(a) against the numeral k > 0 matches a := k - 1
                     return i.value > 0 and mt(a, Num(i.value - 1))
                 return isinstance(i, Succ) and mt(a, i.arg)
-            case Plus(l, r):
-                return isinstance(i, Plus) and mt(l, i.left) and mt(r, i.right)
-            case Times(l, r):
-                return isinstance(i, Times) and mt(l, i.left) and mt(r, i.right)
+            case Plus(l, r) | Times(l, r):
+                return type(i) is type(p) and mt(l, i.left) and mt(r, i.right)
         return False
 
     def mf(p: Formula, i: Formula) -> bool:
         match p:
             case Falsum():
                 return isinstance(i, Falsum)
-            case Eq(l, r):
-                return isinstance(i, Eq) and mt(l, i.left) and mt(r, i.right)
-            case Lt(l, r):
-                return isinstance(i, Lt) and mt(l, i.left) and mt(r, i.right)
+            case Eq(l, r) | Lt(l, r):
+                return type(i) is type(p) and mt(l, i.left) and mt(r, i.right)
             case Not(s):
                 return isinstance(i, Not) and mf(s, i.sub)
-            case Imp(l, r):
-                return isinstance(i, Imp) and mf(l, i.left) and mf(r, i.right)
-            case And(l, r):
-                return isinstance(i, And) and mf(l, i.left) and mf(r, i.right)
-            case Or(l, r):
-                return isinstance(i, Or) and mf(l, i.left) and mf(r, i.right)
+            case Imp(l, r) | And(l, r) | Or(l, r):
+                return type(i) is type(p) and mf(l, i.left) and mf(r, i.right)
         return False
 
     return env if mf(pattern, instance) else None

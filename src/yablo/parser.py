@@ -2,13 +2,14 @@
 
 Grammar, loosest first: `->` then `|` then `&` (all right associative), then
 `~` and the quantifiers.  Comparisons bind tighter than connectives, `*`
-tighter than `+` (both left associative).  Quantifier bodies extend as far
-right as possible.  `>` is accepted and flipped into `<`.  `Prov[ body ; x :=
-t, ... ]` is the provability atom; with the substitution omitted every free
-variable of the body is mapped to itself.  An identifier applied to arguments
-is a predicate application, except `S(...)` (successor) and `Prov[...]`; a
-bare identifier is a variable when lowercase and a zero-ary predicate when
-capitalized.
+tighter than `+` (both left associative).  The symbols and precedences are
+`syntax`'s operator tables, which its printer reads too; this module derives
+its lookups from them.  Quantifier bodies extend as far right as possible.
+`>` is accepted and flipped into `<`.  `Prov[ body ; x := t, ... ]` is the
+provability atom; with the substitution omitted every free variable of the
+body is mapped to itself.  An identifier applied to arguments is a predicate
+application, except `S(...)` (successor) and `Prov[...]`; a bare identifier
+is a variable when lowercase and a zero-ary predicate when capitalized.
 
 Identifiers (`[A-Za-z][A-Za-z0-9_]*`) and numerals (`[0-9]+`) are ASCII; any
 other character outside whitespace is a parse error.  Nesting is capped at
@@ -31,24 +32,20 @@ import re
 import sys
 
 from .syntax import (
-    And,
+    COMPARISONS,
+    CONNECTIVES,
+    QUANTIFIERS,
+    TERM_OPS,
     Box,
-    Eq,
-    Exists,
     Falsum,
-    ForAll,
     Formula,
-    Imp,
     Lt,
     Not,
     Num,
-    Or,
-    Plus,
     PredApp,
     Succ,
     SyntaxBuildError,
     Term,
-    Times,
     Var,
 )
 
@@ -58,12 +55,20 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<sym>->|:=|[\[\]();,.+*=<>~&|])|(?P<bad>\S))"
 )
-_KEYWORDS = {"all", "exists", "bot"}
-_QUANTIFIERS = {"all": ForAll, "exists": Exists}
+_QUANTIFIERS = {word: cls for cls, word in QUANTIFIERS.items()}
+_KEYWORDS = {*_QUANTIFIERS, "bot"}
+# `>` is `<` with its operands swapped
+_COMPARISONS = {op: cls for cls, op in COMPARISONS.items()} | {">": lambda l, r: Lt(r, l)}
 
-# operator -> (precedence, right associative, constructor)
-_CONNECTIVES = {"->": (1, True, Imp), "|": (2, True, Or), "&": (3, True, And)}
-_TERM_OPS = {"+": (1, False, Plus), "*": (2, False, Times)}
+
+def _operators(table: dict, right_assoc: bool) -> dict:
+    """symbol -> (precedence, right associative, constructor), from a table
+    of class -> (symbol, precedence)."""
+    return {op: (prec, right_assoc, cls) for cls, (op, prec) in table.items()}
+
+
+_CONNECTIVES = _operators(CONNECTIVES, True)
+_TERM_OPS = _operators(TERM_OPS, False)
 
 
 class ParseError(ValueError):
@@ -186,13 +191,11 @@ class _Parser:
                 self.i = mark
         left = self.term(depth)
         _, op, pos = self.toks[self.i]
-        if op not in ("<", "=", ">"):
+        make = _COMPARISONS.get(op)
+        if make is None:
             raise ParseError("expected a comparison operator", pos)
         self.i += 1
-        right = self.term(depth)
-        if op == "=":
-            return Eq(left, right)
-        return Lt(left, right) if op == "<" else Lt(right, left)
+        return make(left, self.term(depth))
 
     def box(self, depth: int) -> Formula:
         depth = self.enter(depth, 2)  # Prov [

@@ -14,6 +14,13 @@ Each node holds two tuples, built by its __post_init__ from its children's:
 its range terms in subst order), and ``uses``, its (predicate, argument count)
 pairs in order of first occurrence, quotation templates included.  Neither
 is a dataclass field, so neither takes part in equality, hashing or the repr.
+
+Each binary node kind's concrete symbol, and its precedence where it has one,
+is stated once, in the operator tables CONNECTIVES, TERM_OPS, COMPARISONS and
+QUANTIFIERS.  The printer here reads them, `parser` derives its lookups from
+them, and the canonical keys are headed by their symbols.  The walkers below
+treat each group of binary kinds in one case, rebuilding a node with its own
+class.
 """
 
 from __future__ import annotations
@@ -277,6 +284,16 @@ class Box(Formula):
         raise KeyError(v)
 
 
+# ---------------------------------------------------------------- operator tables
+
+# class -> (symbol, precedence), loosest 1; the GL oracle's grammar reads
+# CONNECTIVES too.  Connectives are right associative, term operators left.
+CONNECTIVES = {Imp: ("->", 1), Or: ("|", 2), And: ("&", 3)}
+TERM_OPS = {Plus: ("+", 1), Times: ("*", 2)}
+COMPARISONS = {Eq: "=", Lt: "<"}
+QUANTIFIERS = {ForAll: "all", Exists: "exists"}
+
+
 def iff(a: Formula, b: Formula) -> And:
     """A biconditional, spelled as the conjunction of both implications."""
     return And(Imp(a, b), Imp(b, a))
@@ -312,10 +329,8 @@ def _canon_term(t: Term, env: dict[str, object]) -> tuple:
             return ("n", n)
         case Succ(a):
             return ("s", _canon_term(a, env))
-        case Plus(l, r):
-            return ("+", _canon_term(l, env), _canon_term(r, env))
-        case Times(l, r):
-            return ("*", _canon_term(l, env), _canon_term(r, env))
+        case Plus(l, r) | Times(l, r):
+            return (TERM_OPS[type(t)][0], _canon_term(l, env), _canon_term(r, env))
         case Var(name):
             return ("v", env.get(name, ("free", name)))
     raise TypeError(f"not a term: {t!r}")
@@ -325,18 +340,12 @@ def _canon(f: Formula, env: dict[str, object], depth: int) -> tuple:
     match f:
         case Falsum():
             return ("bot",)
-        case Eq(l, r):
-            return ("=", _canon_term(l, env), _canon_term(r, env))
-        case Lt(l, r):
-            return ("<", _canon_term(l, env), _canon_term(r, env))
+        case Eq(l, r) | Lt(l, r):
+            return (COMPARISONS[type(f)], _canon_term(l, env), _canon_term(r, env))
         case Not(s):
             return ("~", _canon(s, env, depth))
-        case Imp(l, r):
-            return ("->", _canon(l, env, depth), _canon(r, env, depth))
-        case And(l, r):
-            return ("&", _canon(l, env, depth), _canon(r, env, depth))
-        case Or(l, r):
-            return ("|", _canon(l, env, depth), _canon(r, env, depth))
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            return (CONNECTIVES[type(f)][0], _canon(l, env, depth), _canon(r, env, depth))
         case ForAll(v, b):
             return ("all", _canon(b, {**env, v: ("q", depth)}, depth + 1))
         case Exists(v, b):
@@ -370,10 +379,8 @@ def substitute_term(t: Term, sigma: dict[str, Term]) -> Term:
             return sigma.get(name, t)
         case Succ(a):
             return Succ(substitute_term(a, sigma))
-        case Plus(l, r):
-            return Plus(substitute_term(l, sigma), substitute_term(r, sigma))
-        case Times(l, r):
-            return Times(substitute_term(l, sigma), substitute_term(r, sigma))
+        case Plus(l, r) | Times(l, r):
+            return type(t)(substitute_term(l, sigma), substitute_term(r, sigma))
         case _:
             return t
 
@@ -400,25 +407,18 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
         if sg.keys().isdisjoint(g.free):  # no substituted variable is free in g
             return g
         match g:
-            case Eq(l, r):
-                return Eq(substitute_term(l, sg), substitute_term(r, sg))
-            case Lt(l, r):
-                return Lt(substitute_term(l, sg), substitute_term(r, sg))
+            case Eq(l, r) | Lt(l, r):
+                return type(g)(substitute_term(l, sg), substitute_term(r, sg))
             case Not(s):
                 return Not(go(s, sg))
-            case Imp(l, r):
-                return Imp(go(l, sg), go(r, sg))
-            case And(l, r):
-                return And(go(l, sg), go(r, sg))
-            case Or(l, r):
-                return Or(go(l, sg), go(r, sg))
+            case Imp(l, r) | And(l, r) | Or(l, r):
+                return type(g)(go(l, sg), go(r, sg))
             case PredApp(name, args):
                 return PredApp(name, tuple(substitute_term(a, sg) for a in args))
             case Box(tpl, subst):
                 return Box(tpl, tuple((v, substitute_term(t, sg)) for v, t in subst))
             case ForAll(v, b) | Exists(v, b):
                 inner = {w: t for w, t in sg.items() if w != v and w in b.free}
-                cls = ForAll if isinstance(g, ForAll) else Exists
                 clash = set()
                 for t in inner.values():
                     clash.update(t.free)
@@ -427,7 +427,7 @@ def substitute_many(f: Formula, sigma: dict[str, Term]) -> Formula:
                     v2 = fresh_name(v, avoid)
                     b = go(b, {v: Var(v2)})
                     v = v2
-                return cls(v, go(b, inner))
+                return type(g)(v, go(b, inner))
         raise TypeError(f"not a formula: {g!r}")
 
     return go(f, sigma)
@@ -471,18 +471,9 @@ def sigma1(f: Formula) -> bool:
 # ---------------------------------------------------------------- printing
 
 
-def _term_prec(t: Term) -> int:
-    # atom/succ/numeral 3, times 2, plus 1
-    match t:
-        case Plus(_, _):
-            return 1
-        case Times(_, _):
-            return 2
-        case _:
-            return 3
-
-
-def print_term(t: Term) -> str:
+def print_term(t: Term, prec: int = 0) -> str:
+    """t in concrete syntax, parenthesized as the operand of an operator of
+    precedence prec (0 for none)."""
     match t:
         case Num(n):
             return decimal(n)
@@ -490,58 +481,31 @@ def print_term(t: Term) -> str:
             return name
         case Succ(a):
             return f"S({print_term(a)})"
-        case Plus(l, r):
-            ls = print_term(l) if _term_prec(l) >= 1 else f"({print_term(l)})"
-            rs = print_term(r) if _term_prec(r) >= 2 else f"({print_term(r)})"
-            return f"{ls} + {rs}"
-        case Times(l, r):
-            ls = print_term(l) if _term_prec(l) >= 2 else f"({print_term(l)})"
-            rs = print_term(r) if _term_prec(r) >= 3 else f"({print_term(r)})"
-            return f"{ls} * {rs}"
+        case Plus(l, r) | Times(l, r):
+            op, mine = TERM_OPS[type(t)]
+            s = f"{print_term(l, mine)} {op} {print_term(r, mine + 1)}"
+            return f"({s})" if prec > mine else s
     raise TypeError(f"not a term: {t!r}")
 
 
-def _prec(f: Formula) -> int:
-    # -> 1, | 2, & 3, ~ 4, atoms 5; quantifiers print parenthesized as operands
-    match f:
-        case Imp(_, _):
-            return 1
-        case Or(_, _):
-            return 2
-        case And(_, _):
-            return 3
-        case Not(_):
-            return 4
-        case ForAll(_, _) | Exists(_, _):
-            return 0
-        case _:
-            return 5
-
-
-def print_formula(f: Formula) -> str:
-    def operand(g: Formula, minimum: int) -> str:
-        s = print_formula(g)
-        return s if _prec(g) >= minimum else f"({s})"
-
+def print_formula(f: Formula, prec: int = 0) -> str:
+    """f in concrete syntax, parenthesized as the operand of a connective of
+    precedence prec (0 for none; 4 for `~`).  A quantifier as an operand is
+    always parenthesized."""
     match f:
         case Falsum():
             return "bot"
-        case Eq(l, r):
-            return f"{print_term(l)} = {print_term(r)}"
-        case Lt(l, r):
-            return f"{print_term(l)} < {print_term(r)}"
+        case Eq(l, r) | Lt(l, r):
+            return f"{print_term(l)} {COMPARISONS[type(f)]} {print_term(r)}"
         case Not(s):
-            return f"~{operand(s, 4)}"
-        case And(l, r):
-            return f"{operand(l, 4)} & {operand(r, 3)}"
-        case Or(l, r):
-            return f"{operand(l, 3)} | {operand(r, 2)}"
-        case Imp(l, r):
-            return f"{operand(l, 2)} -> {operand(r, 1)}"
-        case ForAll(v, b):
-            return f"all {v}. {print_formula(b)}"
-        case Exists(v, b):
-            return f"exists {v}. {print_formula(b)}"
+            return "~" + print_formula(s, 4)
+        case Imp(l, r) | And(l, r) | Or(l, r):
+            op, mine = CONNECTIVES[type(f)]
+            s = f"{print_formula(l, mine + 1)} {op} {print_formula(r, mine)}"
+            return f"({s})" if prec > mine else s
+        case ForAll(v, b) | Exists(v, b):
+            s = f"{QUANTIFIERS[type(f)]} {v}. {print_formula(b)}"
+            return f"({s})" if prec > 0 else s
         case PredApp(name, args):
             if not args:
                 return name

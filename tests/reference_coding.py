@@ -1,7 +1,8 @@
-# decode and sub_code as they were before they took a split function, kept
-# verbatim (only its imports are absolute and added here) as the reference
-# that tests/test_coding.py compares yablo.coding's decode and sub_code with.
-# Each call unpairs every code it reads afresh.
+# decode and sub_code as they were before they took a split function, and
+# encode and encode_term as they were before the tag table, kept verbatim
+# (only its imports are absolute and added here) as the reference that
+# tests/test_coding.py compares yablo.coding's with.  Each call unpairs every
+# code it reads afresh, and each encoder case names its own tag.
 
 from __future__ import annotations
 
@@ -171,3 +172,46 @@ def sub_code(code: int, var: str, n: int) -> int:
         raise NotACode(f"tag {_digits(tag)} is not a node tag")
 
     return go(code)
+
+
+def encode_term(t: Term) -> int:
+    match t:
+        case Num(n):
+            return pair(TAG_NUM, n)
+        case Var(name):
+            return pair(TAG_VAR, name_code(name))
+        case Succ(a):
+            return pair(TAG_SUCC, encode_term(a))
+        case Plus(l, r):
+            return pair(TAG_PLUS, pair(encode_term(l), encode_term(r)))
+        case Times(l, r):
+            return pair(TAG_TIMES, pair(encode_term(l), encode_term(r)))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def encode(f: Formula) -> int:
+    match f:
+        case Falsum():
+            return pair(TAG_FALSUM, 0)
+        case Eq(l, r):
+            return pair(TAG_EQ, pair(encode_term(l), encode_term(r)))
+        case Lt(l, r):
+            return pair(TAG_LT, pair(encode_term(l), encode_term(r)))
+        case Not(s):
+            return pair(TAG_NOT, encode(s))
+        case Imp(l, r):
+            return pair(TAG_IMP, pair(encode(l), encode(r)))
+        case And(l, r):
+            return pair(TAG_AND, pair(encode(l), encode(r)))
+        case Or(l, r):
+            return pair(TAG_OR, pair(encode(l), encode(r)))
+        case ForAll(v, b):
+            return pair(TAG_FORALL, pair(name_code(v), encode(b)))
+        case Exists(v, b):
+            return pair(TAG_EXISTS, pair(name_code(v), encode(b)))
+        case PredApp(name, args):
+            return pair(TAG_PRED, pair(name_code(name), _cons_list([encode_term(a) for a in args])))
+        case Box(tpl, subst):
+            entries = _cons_list([pair(name_code(v), encode_term(t)) for v, t in subst])
+            return pair(TAG_BOX, pair(encode(tpl), entries))
+    raise TypeError(f"not a formula: {f!r}")

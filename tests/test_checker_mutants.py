@@ -3,8 +3,9 @@ import importlib
 
 import pytest
 
-from checker_mutants import MUTANTS
+from checker_mutants import MUTANTS, without_check
 from yablo.kernel import check_kernel_script
+from yablo.meta import _MetaChecker
 from yablo.scripts import Definition, parse_kernel_script
 from yablo.syntax import base_signature, canonical
 
@@ -41,6 +42,11 @@ def test_forgotten_template_is_rebuilt():
     forget_derived()
     assert d.template is None
     assert check_kernel_script(script, base_signature(), {}).ok
+
+
+def test_methods_calling_super_are_refused():
+    with pytest.raises(ValueError, match="calls super"):
+        without_check(_MetaChecker, "declare", "eigen")
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)

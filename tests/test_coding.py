@@ -46,7 +46,7 @@ from yablo.coding import (
     unpair,
 )
 from yablo.corpus import definitions_used, golden_codes
-from yablo.parser import parse_formula
+from yablo.parser import parse_formula, parse_term
 from yablo.scripts import parse_kernel_script
 from yablo.syntax import (
     And,
@@ -653,6 +653,15 @@ class TestAgainstReference:
     def test_hostile_integers(self):
         for code in hostile_codes():
             self.agree(code)
+
+    def test_codes_of_sampled_and_hand_formulas(self):
+        # round trips cannot see two tags swapped consistently; the codes can
+        hand = ["P -> Q(x) | R(x, y) & bot", "exists y. all x. x + y * 2 < S(y)",
+                "Prov[ x = k -> ~(x < k) ; x := S(k), k := k * k ]"]
+        for g in [f(text) for text in hand] + sample_formulas(1000, seed=6, depth=5):
+            assert encode(g) == reference_coding.encode(g)
+        for text in ("x + y * S(z)", "(x + 1) * (y + 2)", "1" * 4000):
+            assert encode_term(parse_term(text)) == reference_coding.encode_term(parse_term(text))
 
 
 class TestCodeSizeBound:

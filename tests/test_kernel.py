@@ -466,6 +466,86 @@ class TestCheckerWeakenings:
         rejected_at(run("1. 0 = 0 by numeval\n2. bot by reiterate 1", "bot"),
                     2, "stated formula differs from the cited step")
 
+    # Each script below derives bot, or quotes it, through one step that
+    # compares its stated formula with what the rule yields.
+    def test_andI_conjuncts_are_the_cited_steps(self):
+        body = "1. 0 = 0 by numeval\n2. 0 = 0 & bot by andI 1, 1\n3. bot by andE2 2"
+        rejected_at(run(body, "bot"), 2, "conjuncts do not match the cited steps")
+
+    def test_andE1_yields_the_left_conjunct(self):
+        body = "1. 0 = 0 by numeval\n2. 0 = 0 & 0 = 0 by andI 1, 1\n3. bot by andE1 2"
+        rejected_at(run(body, "bot"), 3, "stated formula is not the left conjunct")
+
+    def test_andE2_yields_the_right_conjunct(self):
+        body = "1. 0 = 0 by numeval\n2. 0 = 0 & 0 = 0 by andI 1, 1\n3. bot by andE2 2"
+        rejected_at(run(body, "bot"), 3, "stated formula is not the right conjunct")
+
+    def test_orI1_yields_a_disjunction_of_the_cited_step(self):
+        rejected_at(run("1. 0 = 0 by numeval\n2. bot by orI1 1", "bot"),
+                    2, "not a disjunction whose left side is the cited step")
+
+    def test_orI2_yields_a_disjunction_of_the_cited_step(self):
+        rejected_at(run("1. 0 = 0 by numeval\n2. bot by orI2 1", "bot"),
+                    2, "not a disjunction whose right side is the cited step")
+
+    def test_orE_yields_the_case_conclusions(self):
+        body = (
+            "1. 0 = 0 by numeval\n"
+            "2. 0 = 0 | 0 = 0 by orI1 1\n"
+            "3. 0 = 0 -> 0 = 0 by taut\n"
+            "4. bot by orE 2, 3, 3"
+        )
+        rejected_at(run(body, "bot"), 4, "stated formula does not match both case conclusions")
+
+    def test_negI_negates_the_refuted_formula(self):
+        body = (
+            "1. bot -> bot by taut\n"
+            "2. ~(0 = 0) by negI 1\n"
+            "3. 0 = 0 by numeval\n"
+            "4. bot by negE 3, 2"
+        )
+        rejected_at(run(body, "bot"), 2, "stated formula is not the negation of the refuted formula")
+
+    def test_allI_body_is_the_cited_step(self):
+        body = "1. 0 = 0 by numeval\n2. all x. bot by allI 1\n3. bot by allE 2 with 0"
+        rejected_at(run(body, "bot"), 2, "cited step does not match the quantified body")
+
+    def test_exI_cites_the_instance(self):
+        body = (
+            "1. 0 = 0 by numeval\n"
+            "2. exists x. bot by exI 1 with 0\n"
+            "3. bot -> bot by taut\n"
+            "4. bot by exE 2, 3 with y"
+        )
+        rejected_at(run(body, "bot"), 2, "cited step is not the instance at 0")
+
+    def test_exE_yields_the_implication_consequent(self):
+        body = (
+            "1. 0 = 0 by numeval\n"
+            "2. exists x. x = x by exI 1 with 0\n"
+            "3. y = y -> y = y by taut\n"
+            "4. bot by exE 2, 3 with y"
+        )
+        rejected_at(run(body, "bot"), 4, "stated formula does not match the implication consequent")
+
+    def test_fold_applies_the_named_predicate(self):
+        # folding T's body into B(0) would make B(0), whose body is false, true
+        defs = "def T(k) := k = k\ndef B(k) := ~(k = k)\n"
+        body = (
+            "1. 0 = 0 -> B(0) by fold T\n"
+            "2. 0 = 0 by numeval\n"
+            "3. B(0) by mp 1, 2\n"
+            "4. B(0) -> ~(0 = 0) by unfold B\n"
+            "5. ~(0 = 0) by mp 4, 3\n"
+            "6. bot by negE 2, 5"
+        )
+        rejected_at(run(body, "bot", defs), 1, "consequent is not an application of T")
+
+    def test_gd3_consequent_quotes_the_antecedent(self):
+        body = "1. 0 = 0 -> Prov[ bot ;] by gd3\n2. 0 = 0 by numeval\n3. Prov[ bot ;] by mp 1, 2"
+        rejected_at(run(body, "Prov[ bot ;]"),
+                    1, "consequent is not the self-substituted quotation of the antecedent")
+
 
 class TestArithmeticRules:
     def test_unknown_axiom_name(self):

@@ -1,5 +1,8 @@
+from importlib import resources
+
 import pytest
 
+from yablo.corpus import Registry
 from yablo.kernel import _Fail
 from yablo.meta import ResolveError, _MetaChecker, check_meta_script, list_rules
 from yablo.parser import parse_formula
@@ -199,6 +202,38 @@ class TestCheckerWeakenings:
         )
         rejected_at(run(body, "Prv: bot", resolver=resolver),
                     3, "stated formula does not match the consequent")
+
+    def test_cited_step_must_be_a_Prv_judgment(self):
+        # m-inst would turn the refuted P into a Prv judgment
+        resolver = StubResolver(kernel={"not_p": f("~P")})
+        body = REFUTE_P + "\n5. Prv: P by m-inst 4 with k := 0"
+        rejected_at(run(body, "Prv: P", resolver=resolver), 5, "step 4 is not a Prv judgment")
+
+    def test_m_inst_yields_the_instance_under_the_bindings(self):
+        resolver = StubResolver(kernel={"lt": f("k < k + 1")})
+        body = "1. Prv: k < k + 1 by m-kernel lt\n2. Prv: 1 < 0 by m-inst 1 with k := 0"
+        rejected_at(run(body, "Prv: 1 < 0", resolver=resolver), 2,
+                    "stated formula is not the cited judgment under the given bindings")
+
+    def test_m_refl1_yields_the_quoted_instance(self):
+        resolver = StubResolver(kernel={"boxed": f("Prov[ x < 1 ; x := 0 ]")})
+        body = "1. Prv: Prov[ x < 1 ; x := 0 ] by m-kernel boxed\n2. Prv: 1 < 0 by m-refl1 1"
+        rejected_at(run(body, "Prv: 1 < 0", assume="OneCon", resolver=resolver),
+                    2, "stated formula is not the quoted instance")
+
+    def test_m_witness_yields_the_body_instance(self):
+        resolver = StubResolver(kernel={"ex": f("exists x. (k < x) & x = x")})
+        body = ("1. Prv: exists x. (k < x) & x = x by m-kernel ex\n"
+                "2. Prv: 1 < 0 by m-witness 1 with y")
+        rejected_at(run(body, "Prv: 1 < 0", assume="OneCon", resolver=resolver),
+                    2, "stated formula is not the body instance at the witness y")
+
+    def test_eigen_names_are_variable_names(self):
+        text = (resources.files("yablo") / "corpus" / "thm1_1a.mprf").read_text()
+        script = parse_meta_script(text.replace("eigen k, a, b", "eigen k, a, b, Foo"))
+        first = check_meta_script(script, base_signature(), Registry()).first()
+        assert first is not None
+        assert (first.step, first.message) == (None, "eigen Foo: bad variable name 'Foo'")
 
 
 EXISTS_BODY = "exists x. (k < x) & Prov[ Q(z) ; z := x ]"

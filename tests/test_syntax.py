@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_printer
 import reference_substitute as reference
 import reference_walkers as walkers
 from astgen import VARS, rand_formula, rand_term, sample_formulas
@@ -26,6 +27,7 @@ from yablo.syntax import (
     PredApp,
     Succ,
     SyntaxBuildError,
+    Times,
     Var,
     Zero,
     alpha_eq,
@@ -336,6 +338,42 @@ class TestPrinting:
         rng = random.Random(seed)
         g = rand_formula(rng, rng.randrange(1, 5))
         assert parse_formula(print_formula(g)) == g
+
+
+class TestPrinterAgainstReference:
+    """print_formula and print_term against tests/reference_printer.py, the
+    printer before its operator tables: the same strings, byte for byte."""
+
+    def same(self, g) -> None:
+        assert print_formula(g) == reference_printer.print_formula(g)
+
+    def test_sampled_formulas(self):
+        for seed in range(4):
+            for g in sample_formulas(250, seed, depth=5):
+                self.same(g)
+
+    def test_sampled_terms(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            u = rand_term(rng, rng.randrange(1, 6), VARS)
+            assert print_term(u) == reference_printer.print_term(u)
+
+    def test_hand_cases(self):
+        p, q = PredApp("P"), PredApp("Q", (Var("x"),))
+        every, some = ForAll("x", q), Exists("x", q)
+        x, y, z = Var("x"), Var("y"), Var("z")
+        terms = [Plus(Times(x, y), Times(y, z)), Times(Plus(x, y), Plus(y, z)),
+                 Plus(x, Plus(y, z)), Plus(Plus(x, y), z), Times(x, Times(y, z)),
+                 Times(Times(x, y), z), Times(Succ(Plus(x, y)), numeral(2)),
+                 Plus(numeral(10**5000 + 1), Times(x, numeral(7)))]
+        cases = [Not(every), Not(some), And(every, p), And(p, some), Imp(every, p),
+                 Imp(p, every), Or(some, every), Not(Not(And(p, q))),
+                 And(Or(p, q), p), Or(And(p, q), p), Or(p, And(q, p)), And(p, Or(q, p)),
+                 Imp(Imp(p, q), p), Imp(p, Imp(q, p)), And(And(p, q), p), Or(Or(p, q), p),
+                 Imp(Or(p, q), And(q, p)), ForAll("x", Imp(every, some))]
+        cases += [Eq(u, w) for u in terms for w in terms[:3]] + [Lt(u, x) for u in terms]
+        for g in cases:
+            self.same(g)
 
 
 class TestParser:
