@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from .coding import DiagonalError, fix_intro
 from .scripts import KernelScript, KernelStep
 from .syntax import (
+    CON,
+    CON_BODY,
     And,
     Box,
     Eq,
@@ -599,8 +601,7 @@ class _KernelChecker(BlockChecker):
             raise _Fail("antecedent does not quote `if provable then true` for the consequent's formula")
 
     def rule_con_def(self, step: KernelStep) -> None:
-        want = iff(PredApp("Con"), Not(Box(Falsum())))
-        if not alpha_eq(step.formula, want):
+        if not alpha_eq(step.formula, iff(CON, CON_BODY)):
             raise _Fail("stated formula is not the definitional equivalence for Con")
 
     def rule_reiterate(self, step: KernelStep) -> None:

@@ -25,6 +25,7 @@ from .coding import fix_intro  # noqa: F401  unused, kept bound: bench/tracing.p
 from .kernel import BlockChecker, CheckReport, _Fail, arity_violation
 from .scripts import MetaScript, MetaStep
 from .syntax import (
+    CON,
     And,
     Box,
     Exists,
@@ -32,7 +33,6 @@ from .syntax import (
     Imp,
     Lt,
     Not,
-    PredApp,
     Signature,
     SyntaxBuildError,
     Term,
@@ -216,7 +216,7 @@ class _MetaChecker(BlockChecker):
 
     def rule_m_g2(self, step: MetaStep) -> None:
         fi = self._one(step)
-        if not alpha_eq(fi, PredApp("Con")):
+        if not alpha_eq(fi, CON):
             raise _Fail("cited judgment is not about the consistency sentence")
 
     def rule_lemma(self, step: MetaStep) -> None:

@@ -5,6 +5,12 @@ monkeypatch, so no source is rewritten and no subprocess is spawned.  Its
 killer is the node id of a test under tests/ that takes no fixtures: it must
 pass on the checkers as they are and fail under the weakening.
 tests/test_checker_mutants.py runs every entry and fails on a survivor.
+
+Most weakenings are derived from the source they weaken: without_check drops
+one `raise`, edited makes textual edits, and both compile the edited source
+in its module's globals.  So no function body is copied here, and a change
+that moves a weakened line fails collection with a ValueError rather than
+leaving an entry that tests a stale copy.
 """
 
 from __future__ import annotations
@@ -15,17 +21,12 @@ import sys
 import textwrap
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
 
 import pytest
 
-from test_coding import div3n2n_without_fixup, sqrtrem_without_correction
-from test_kernel import exE_without_assumptions_banned
-from test_meta import m_refl1_without_the_range_check
 from yablo import coding, gl, kernel, syntax
 from yablo.kernel import BlockChecker, _Fail, _KernelChecker
 from yablo.meta import _MetaChecker
-from yablo.syntax import Num, PredApp, Var, alpha_eq, iff
 
 
 @dataclass(frozen=True)
@@ -58,37 +59,70 @@ def merge_drops_its_right_operand(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(syntax, "_merge", lambda a, b: a)
 
 
-def rule_patch(cls: type, rule: str, weakened: Callable) -> Callable[[pytest.MonkeyPatch], None]:
-    return lambda mp: mp.setattr(cls, rule, weakened)
+@dataclass(frozen=True)
+class Recompiled:
+    """owner.name replaced by func, a copy compiled from its edited source."""
+    owner: object
+    name: str
+    func: Callable
+
+    def __call__(self, mp: pytest.MonkeyPatch) -> None:
+        mp.setattr(self.owner, self.name, self.func)
 
 
-def without_check(cls: type, method: str, message: str) -> Callable[[pytest.MonkeyPatch], None]:
-    """Patch in cls.method with the one `raise _Fail(...)` whose message
-    contains message replaced by `pass`.  The weakened copy is compiled from
-    the method's own source, in its module's globals.  A method that calls
-    super() with no arguments is refused: the copy would have no __class__
-    cell, so every call of it would fail and any test reaching it would kill
-    the entry."""
-    func = getattr(cls, method)
-    if "__class__" in func.__code__.co_freevars:
-        raise ValueError(f"{cls.__name__}.{method} calls super() and cannot be recompiled alone")
-    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+def _where(owner: object, name: str) -> str:
+    return f"{owner.__name__}.{name}"
+
+
+def _recompiled(owner: object, name: str, rewrite: Callable[[str], str]) -> Recompiled:
+    """owner.name, a function of a module or a method of a class, compiled
+    from rewrite(its dedented source) in its module's globals, at its own
+    line numbers.  A function with free variables is refused: the copy would
+    have no cells for them, so every call of it would fail and any test
+    reaching it would kill the entry."""
+    func = getattr(owner, name)
+    if func.__code__.co_freevars:
+        raise ValueError(f"{_where(owner, name)} is a closure or calls super(), and cannot be "
+                         f"recompiled alone: {func.__code__.co_freevars} would be unbound")
+    tree = ast.parse(rewrite(textwrap.dedent(inspect.getsource(func))))
     ast.increment_lineno(tree, func.__code__.co_firstlineno - 1)
-    sites = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-             and getattr(node.exc.func, "id", None) == "_Fail"
-             and message in ast.unparse(node.exc.args[0])]
-    if len(sites) != 1:
-        raise ValueError(f"{len(sites)} checks in {cls.__name__}.{method} say {message!r}")
+    copy: dict[str, Callable] = {}
+    exec(compile(tree, inspect.getsourcefile(func), "exec"), vars(sys.modules[func.__module__]), copy)
+    return Recompiled(owner, name, copy[name])
 
-    class Drop(ast.NodeTransformer):
-        def visit_Raise(self, node: ast.Raise) -> ast.AST:
-            return ast.copy_location(ast.Pass(), node) if node is sites[0] else node
 
-    code = compile(Drop().visit(tree), inspect.getsourcefile(func), "exec")
-    weakened: dict[str, Callable] = {}
-    exec(code, vars(sys.modules[func.__module__]), weakened)
-    return lambda mp: mp.setattr(cls, method, weakened[method])
+def edited(owner: object, name: str, *edits: tuple[str, str]) -> Recompiled:
+    """owner.name with each (old, new) edit made in turn on its source; each
+    old must occur exactly once when its turn comes."""
+
+    def rewrite(source: str) -> str:
+        for old, new in edits:
+            if source.count(old) != 1:
+                raise ValueError(f"{old!r} occurs {source.count(old)} times in {_where(owner, name)}")
+            source = source.replace(old, new)
+        return source
+
+    return _recompiled(owner, name, rewrite)
+
+
+def without_check(owner: object, name: str, message: str) -> Recompiled:
+    """owner.name with the one `raise X(...)` whose first argument's source
+    contains message replaced by `pass`."""
+
+    def rewrite(source: str) -> str:
+        sites = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                 and node.exc.args and message in ast.unparse(node.exc.args[0])]
+        if len(sites) != 1:
+            raise ValueError(f"{len(sites)} checks in {_where(owner, name)} say {message!r}")
+        (site,) = sites
+        lines = source.splitlines(keepends=True)
+        head = lines[site.lineno - 1].encode()[:site.col_offset].decode()
+        tail = lines[site.end_lineno - 1].encode()[site.end_col_offset:].decode()
+        lines[site.lineno - 1:site.end_lineno] = [head + "pass" + tail]
+        return "".join(lines)
+
+    return _recompiled(owner, name, rewrite)
 
 
 def connectives_swap_two_precedences(mp: pytest.MonkeyPatch) -> None:
@@ -106,14 +140,6 @@ def tags_swap_imp_and_or(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(coding, "_TAGS", {cls: tag for tag, cls in kinds.items()})
 
 
-def root_skips_its_correction(mp: pytest.MonkeyPatch) -> None:
-    mp.setattr(coding, "_sqrtrem", sqrtrem_without_correction)
-
-
-def division_skips_its_fixup(mp: pytest.MonkeyPatch) -> None:
-    mp.setattr(coding, "_div3n2n", div3n2n_without_fixup)
-
-
 def pair_swaps_two_tags(mp: pytest.MonkeyPatch) -> None:
     held = coding.pair
     swap = {coding.TAG_EQ: coding.TAG_LT, coding.TAG_LT: coding.TAG_EQ}
@@ -122,122 +148,6 @@ def pair_swaps_two_tags(mp: pytest.MonkeyPatch) -> None:
 
 def successor_left_unfolded(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(coding, "_succ_code", lambda inner, split: coding.pair(coding.TAG_SUCC, inner))
-
-
-def tableau_jump(premise: Callable[[frozenset, gl.Box], frozenset]) -> Callable:
-    """gl._Search._step with the left side of a modal jump's premise built by
-    premise(gamma, box) from the saturated left side and the box jumped on."""
-
-    def step(self, gamma, delta):
-        if gamma & delta or gl.Falsum() in gamma:
-            return True
-        for f in self._sorted(gamma):
-            if isinstance(f, gl.Not):
-                return gamma - {f}, delta | {f.sub}
-            if isinstance(f, gl.And):
-                return gamma - {f} | {f.left, f.right}, delta
-            if isinstance(f, gl.Or):
-                first = self.solve(gamma - {f} | {f.left}, delta)
-                return first if first is not True else self.solve(gamma - {f} | {f.right}, delta)
-            if isinstance(f, gl.Imp):
-                first = self.solve(gamma - {f}, delta | {f.left})
-                return first if first is not True else self.solve(gamma - {f} | {f.right}, delta)
-        for f in self._sorted(delta):
-            if isinstance(f, gl.Falsum):
-                return gamma, delta - {f}
-            if isinstance(f, gl.Not):
-                return gamma | {f.sub}, delta - {f}
-            if isinstance(f, gl.Imp):
-                return gamma | {f.left}, delta - {f} | {f.right}
-            if isinstance(f, gl.Or):
-                return gamma, delta - {f} | {f.left, f.right}
-            if isinstance(f, gl.And):
-                first = self.solve(gamma, delta - {f} | {f.left})
-                return first if first is not True else self.solve(gamma, delta - {f} | {f.right})
-        failures = []
-        for f in self._sorted(delta):
-            if isinstance(f, gl.Box):
-                out = self.solve(premise(gamma, f), frozenset({f.sub}))
-                if out is True:
-                    return True
-                failures.append(out)
-        return gl._Tree(frozenset(a.name for a in gamma if isinstance(a, gl.Atom)), tuple(failures))
-
-    return step
-
-
-def k4_jump(gamma: frozenset, box: gl.Box) -> frozenset:
-    """K4's premise: the boxes and their bodies, without GL's Löb premise."""
-    return frozenset(x for b in gamma if isinstance(b, gl.Box) for x in (b, b.sub))
-
-
-def k_jump(gamma: frozenset, box: gl.Box) -> frozenset:
-    """K's premise: the boxes' bodies only."""
-    return frozenset(b.sub for b in gamma if isinstance(b, gl.Box))
-
-
-def diagonalize_skipping(check: str) -> Callable[[pytest.MonkeyPatch], None]:
-    """Patch in coding.diagonalize with the parameter check named check left
-    out.  Kernel scripts reach it through fix_intro."""
-
-    def weakened(template, hole, params):
-        for p in params:
-            Var(p)
-        fail = coding.DiagonalError
-        if check != "duplicate" and len(set(params)) != len(params):
-            raise fail(f"duplicate parameter in {hole}({', '.join(params)})")
-        stray = set(template.free) - set(params)
-        if check != "stray" and stray:
-            raise fail(f"free variables {sorted(stray)} are not parameters of {hole}")
-        arities = [n for name, n in template.uses if name == hole]
-        if check != "unquoted" and arities and coding._unquoted(template, hole):
-            raise fail(f"predicate {hole} occurs outside every quotation")
-        if check != "arity" and any(n != len(params) for n in arities):
-            raise fail(f"predicate {hole} is applied to other than {len(params)} arguments")
-        fixed_point = PredApp(hole, tuple(Var(p) for p in params)) if arities else template
-        return coding.DiagonalResult(hole, tuple(params), template, fixed_point,
-                                     iff(fixed_point, template))
-
-    return lambda mp: mp.setattr(coding, "diagonalize", weakened)
-
-
-def replay_skipping(check: str) -> Callable[[pytest.MonkeyPatch], None]:
-    """Patch in coding.replay_trace with the check named check left out.  Its
-    killers call replay through the module, so they run the weakened copy."""
-
-    def weakened(result):
-        split = cache(coding.unpair)
-        codes = coding._codes(result, split)
-        first, name, _, *probes, last = coding.trace_labels(result.params)
-        fail = coding.DiagonalError
-        if check != "template" and coding._decode(codes[first], split) != result.template:
-            raise fail("template code does not decode back")
-        if check != "name" and coding.decode_name(codes[name]) != result.hole:
-            raise fail(f"name code does not decode to {result.hole}")
-        for label, p in zip(probes, result.params):
-            probe = coding.encode(syntax.substitute_many(result.template, {p: Num(0)}))
-            if check != "probes" and codes[label] != probe:
-                raise fail(f"substitution probe for {p} disagrees with the syntax route")
-        if check != "fixed point" and coding._decode(codes[last], split) != result.fixed_point:
-            raise fail("final trace entry is not the fixed point's code")
-        if check != "tie" and not alpha_eq(result.biconditional,
-                                           iff(result.fixed_point, result.template)):
-            raise fail("biconditional does not tie fixed point to template")
-        return True
-
-    return lambda mp: mp.setattr(coding, "replay_trace", weakened)
-
-
-def declare_reusing_without_define(self) -> None:
-    """BlockChecker.declare whose reuse path leaves the kept template out of
-    the signature."""
-    for d in self.script.defs:
-        try:
-            if d.template is None:
-                template = kernel.fix_intro(self.sig, d.name, d.params, d.body).template
-                object.__setattr__(d, "template", template)
-        except (syntax.SyntaxBuildError, coding.DiagonalError) as e:
-            raise _Fail(f"definition {d.name}: {e}") from None
 
 
 def templates_kept_by_name(mp: pytest.MonkeyPatch) -> None:
@@ -259,10 +169,57 @@ def templates_kept_by_name(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(BlockChecker, "declare", weakened)
 
 
+# K4's jump: the boxes and their bodies, without GL's Loeb premise
+K4_JUMP = ("boxed_left | {f}", "boxed_left")
+# shared with the tests that show each of these weakenings accepting its script
+EXE_IGNORES_ASSUMPTIONS = edited(_KernelChecker, "rule_exE", (", *self.active_assumptions()", ""))
+M_REFL1_SKIPS_RANGES = edited(
+    _MetaChecker, "rule_m_refl1",
+    ('self.schematic(fi.subst, "quotation range for {} is not built from schematic numerals")',
+     "pass"))
+
 CRITERION_1 = "test_acceptance.py::test_criterion_1_whole_corpus_checks_within_ten_seconds"
 TABLEAU_JUMP = "test_gl.py::TestTableau::test_jump_keeps_the_loeb_premise_and_the_boxes"
 WEAKENINGS = "test_kernel.py::TestCheckerWeakenings"
 META_WEAKENINGS = "test_meta.py::TestCheckerWeakenings"
+FUZZ = "test_script_fuzz.py::test_checkers_return_a_report_on_seeded_scripts"
+
+# Shape guards and citation counts: without one of these checks, a seeded
+# script makes the checker raise rather than report.
+GUARDS = [
+    (BlockChecker, "get", "which does not exist"),
+    (BlockChecker, "_one", "cites exactly one step"),
+    (BlockChecker, "_two", "cites exactly two steps"),
+    (BlockChecker, "close_block", "is open"),
+    (_KernelChecker, "rule_mp", "not an implication"),
+    (_KernelChecker, "rule_andI", "not a conjunction"),
+    (_KernelChecker, "rule_andE1", "not a conjunction"),
+    (_KernelChecker, "rule_andE2", "not a conjunction"),
+    (_KernelChecker, "rule_orE", "a disjunction and two implications"),
+    (_KernelChecker, "rule_negI", "implication into absurdity"),
+    (_KernelChecker, "rule_allI", "not universally quantified"),
+    (_KernelChecker, "rule_allE", "not universally quantified"),
+    (_KernelChecker, "rule_exI", "not existentially quantified"),
+    (_KernelChecker, "rule_exE", "not existentially quantified"),
+    (_KernelChecker, "rule_exE", "not an implication"),
+    (_KernelChecker, "rule_numeval", "equalities and inequalities only"),
+    (_KernelChecker, "rule_numeval", "not closed"),
+    (_KernelChecker, "_definitional", "stated formula is not an implication"),
+    (_KernelChecker, "rule_gd1", "cites exactly one step"),
+    (_KernelChecker, "rule_gd1", "which does not exist"),
+    (_KernelChecker, "rule_gd2", "shape must be"),
+    (_KernelChecker, "rule_gd2", "does not contain an implication"),
+    (_KernelChecker, "rule_gd3", "stated formula is not an implication"),
+    (_KernelChecker, "rule_lob", "shape must be"),
+    (_MetaChecker, "rule_m_kernel", "cannot resolve"),
+    (_MetaChecker, "rule_m_mp", "not about an implication"),
+    (_MetaChecker, "rule_m_refl1", "not a quotation"),
+    (_MetaChecker, "rule_m_witness", "not existential"),
+    (_MetaChecker, "rule_m_witness", "lower bound"),
+    (_MetaChecker, "rule_lemma", "cannot resolve"),
+    (_MetaChecker, "rule_m_raa", "cites the suppose step"),
+    (_MetaChecker, "_check_step", "does not conclude"),
+]
 
 MUTANTS = [
     CheckerMutant("uses skip quotation templates", uses_skip_quotation_templates,
@@ -270,15 +227,15 @@ MUTANTS = [
     CheckerMutant("binder keeps its variable free", binder_keeps_its_variable, CRITERION_1),
     CheckerMutant("ordered merge drops its right operand", merge_drops_its_right_operand,
                   CRITERION_1),
-    CheckerMutant("exE ignores the open assumptions",
-                  rule_patch(_KernelChecker, "rule_exE", exE_without_assumptions_banned),
+    CheckerMutant("exE ignores the open assumptions", EXE_IGNORES_ASSUMPTIONS,
                   "test_kernel.py::TestCheckerWeakenings::test_exE_witness_free_in_an_open_assumption"),
-    CheckerMutant("m-refl1 without its range check",
-                  rule_patch(_MetaChecker, "rule_m_refl1", m_refl1_without_the_range_check),
+    CheckerMutant("m-refl1 without its range check", M_REFL1_SKIPS_RANGES,
                   f"{META_WEAKENINGS}::test_m_refl1_range_outside_the_schematic_names"),
-    CheckerMutant("square root without its correction step", root_skips_its_correction,
+    CheckerMutant("square root without its correction step",
+                  edited(coding, "_sqrtrem", ("if r < 0:", "if False:")),
                   "test_coding.py::TestSquareRoot::test_squares_and_their_neighbours"),
-    CheckerMutant("recursive division without its remainder fix-up", division_skips_its_fixup,
+    CheckerMutant("recursive division without its remainder fix-up",
+                  edited(coding, "_div3n2n", ("while r < 0:", "while False:")),
                   "test_coding.py::TestSquareRoot::test_division_agrees_with_divmod"),
     CheckerMutant("pair swaps the = and < tags", pair_swaps_two_tags,
                   "test_coding.py::TestEncoding::test_structural_values"),
@@ -296,31 +253,39 @@ MUTANTS = [
     CheckerMutant("m-g2 on any judgment",
                   without_check(_MetaChecker, "rule_m_g2", "consistency sentence"),
                   "test_meta.py::TestRefutationDiscipline::test_g2_requires_the_consistency_sentence"),
-    CheckerMutant("tableau jumps as K4", rule_patch(gl._Search, "_step", tableau_jump(k4_jump)),
-                  TABLEAU_JUMP),
-    CheckerMutant("tableau jumps as K", rule_patch(gl._Search, "_step", tableau_jump(k_jump)),
-                  TABLEAU_JUMP),
-    CheckerMutant("diagonalize allows a duplicate parameter", diagonalize_skipping("duplicate"),
+    CheckerMutant("tableau jumps as K4", edited(gl._Search, "_step", K4_JUMP), TABLEAU_JUMP),
+    CheckerMutant("tableau jumps as K",
+                  edited(gl._Search, "_step", K4_JUMP, ("(b, b.sub)", "(b.sub,)")), TABLEAU_JUMP),
+    CheckerMutant("diagonalize allows a duplicate parameter",
+                  without_check(coding, "diagonalize", "duplicate parameter"),
                   "test_kernel.py::TestIllFormedDefinitions::test_duplicate_parameter"),
-    CheckerMutant("diagonalize allows a stray free variable", diagonalize_skipping("stray"),
+    CheckerMutant("diagonalize allows a stray free variable",
+                  without_check(coding, "diagonalize", "are not parameters of"),
                   "test_kernel.py::TestIllFormedDefinitions::test_stray_free_variable"),
     CheckerMutant("diagonalize allows the hole outside every quotation",
-                  diagonalize_skipping("unquoted"),
+                  without_check(coding, "diagonalize", "outside every quotation"),
                   "test_kernel.py::TestIllFormedDefinitions::test_self_outside_every_quotation"),
-    CheckerMutant("diagonalize allows the hole at the wrong arity", diagonalize_skipping("arity"),
+    CheckerMutant("diagonalize allows the hole at the wrong arity",
+                  without_check(coding, "diagonalize", "applied to other than"),
                   "test_kernel.py::TestIllFormedDefinitions::test_self_at_the_wrong_arity"),
-    CheckerMutant("replay skips the template's decode-back", replay_skipping("template"),
+    CheckerMutant("replay skips the template's decode-back",
+                  without_check(coding, "replay_trace", "template code does not"),
                   "test_coding.py::TestDiagonalization::test_tampered_trace_is_detected"),
-    CheckerMutant("replay skips the name check", replay_skipping("name"),
+    CheckerMutant("replay skips the name check",
+                  without_check(coding, "replay_trace", "name code does not"),
                   "test_coding.py::TestDiagonalization::test_wrong_name_code_is_detected"),
-    CheckerMutant("replay skips the probe comparison", replay_skipping("probes"),
+    CheckerMutant("replay skips the probe comparison",
+                  without_check(coding, "replay_trace", "substitution probe"),
                   "test_coding.py::TestReplayBuildsOnce::test_reused_probe_is_checked_against_the_syntax_route"),
-    CheckerMutant("replay skips the fixed point's decode-back", replay_skipping("fixed point"),
+    CheckerMutant("replay skips the fixed point's decode-back",
+                  without_check(coding, "replay_trace", "final trace entry"),
                   "test_coding.py::TestReplayBuildsOnce::test_wrong_fixed_point_code_is_detected"),
-    CheckerMutant("replay skips the tie", replay_skipping("tie"),
+    CheckerMutant("replay skips the tie",
+                  without_check(coding, "replay_trace", "biconditional does not tie"),
                   "test_coding.py::TestReplayBuildsOnce::test_biconditional_that_does_not_tie_is_detected"),
     CheckerMutant("declare reuses a template without defining it",
-                  rule_patch(BlockChecker, "declare", declare_reusing_without_define),
+                  edited(BlockChecker, "declare",
+                         ("self.sig.define(d.name, d.params, d.template)", "pass")),
                   "test_kernel.py::TestDefinitionsDiagonalizedOnce::test_checked_twice_in_fresh_signatures"),
     CheckerMutant("declare keeps templates by predicate name", templates_kept_by_name,
                   "test_kernel.py::TestDefinitionsDiagonalizedOnce::test_each_script_unfolds_its_own_body"),
@@ -394,10 +359,31 @@ MUTANTS = [
                   without_check(_MetaChecker, "rule_m_witness", "body instance at the witness"),
                   f"{META_WEAKENINGS}::test_m_witness_yields_the_body_instance"),
     CheckerMutant("meta declare without the eigen name check",
-                  rule_patch(_MetaChecker, "declare", BlockChecker.declare),
+                  lambda mp: mp.setattr(_MetaChecker, "declare", BlockChecker.declare),
                   f"{META_WEAKENINGS}::test_eigen_names_are_variable_names"),
     CheckerMutant("printer with & looser than |", connectives_swap_two_precedences,
                   "test_syntax.py::TestPrinterAgainstReference::test_hand_cases"),
     CheckerMutant("tag table with -> and | swapped", tags_swap_imp_and_or,
                   "test_coding.py::TestAgainstReference::test_codes_of_sampled_and_hand_formulas"),
+    CheckerMutant("undeclared predicates pass the arity check",
+                  without_check(_KernelChecker, "arity_check", "problem"),
+                  f"{WEAKENINGS}::test_undeclared_predicate_is_rejected"),
+    CheckerMutant("orE on any first cited step",
+                  without_check(_KernelChecker, "rule_orE", "not a disjunction"),
+                  f"{WEAKENINGS}::test_orE_first_cited_step_is_a_disjunction"),
+    CheckerMutant("orE without its left discharge check",
+                  without_check(_KernelChecker, "rule_orE", "left disjunct"),
+                  f"{WEAKENINGS}::test_orE_second_cited_step_discharges_the_left_disjunct"),
+    CheckerMutant("exE without its antecedent check",
+                  without_check(_KernelChecker, "rule_exE", "not the witness instance"),
+                  f"{WEAKENINGS}::test_exE_antecedent_is_the_witness_instance"),
+    CheckerMutant("m-witness outside the existential fragment",
+                  without_check(_MetaChecker, "rule_m_witness", "existential fragment"),
+                  f"{META_WEAKENINGS}::test_m_witness_body_is_in_the_existential_fragment"),
+    CheckerMutant("unknown rules reach no handler check",
+                  without_check(BlockChecker, "handler", "unknown rule"),
+                  f"{WEAKENINGS}::test_unknown_rule_is_rejected"),
+    *(CheckerMutant(f"{owner.__name__}.{name} without {message!r}",
+                    without_check(owner, name, message), FUZZ)
+      for owner, name, message in GUARDS),
 ]

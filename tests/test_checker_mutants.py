@@ -3,7 +3,8 @@ import importlib
 
 import pytest
 
-from checker_mutants import MUTANTS, without_check
+from checker_mutants import MUTANTS, Recompiled, edited, without_check
+from yablo import coding
 from yablo.kernel import check_kernel_script
 from yablo.meta import _MetaChecker
 from yablo.scripts import Definition, parse_kernel_script
@@ -47,6 +48,31 @@ def test_forgotten_template_is_rebuilt():
 def test_methods_calling_super_are_refused():
     with pytest.raises(ValueError, match="calls super"):
         without_check(_MetaChecker, "declare", "eigen")
+
+
+def test_fragments_matched_other_than_once_are_refused():
+    for times, fragment in ((0, "no such text"), (2, "return s")):
+        with pytest.raises(ValueError, match=f"occurs {times} times in yablo.coding._sqrtrem"):
+            edited(coding, "_sqrtrem", (fragment, ""))
+    for times, message in ((0, "no such message"), (2, "does not decode")):
+        with pytest.raises(ValueError, match=f"{times} checks in yablo.coding.replay_trace"):
+            without_check(coding, "replay_trace", message)
+
+
+def test_closures_are_refused():
+    def outer():
+        bound = 0
+        return lambda: bound
+
+    with pytest.raises(ValueError, match="is a closure"):
+        edited(type("Holder", (), {"inner": staticmethod(outer())}), "inner")
+
+
+@pytest.mark.parametrize("mutant", [m for m in MUTANTS if isinstance(m.apply, Recompiled)],
+                         ids=lambda m: m.name)
+def test_unedited_recompile_passes_its_killer(mutant, monkeypatch):
+    edited(mutant.apply.owner, mutant.apply.name)(monkeypatch)
+    run_test(mutant.killer)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)

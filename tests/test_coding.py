@@ -114,38 +114,6 @@ def seeded_roots() -> list[int]:
             for bits in (1000, 2001, 3000, 10_000, 33_333, 100_000, 1_000_000)]
 
 
-def sqrtrem_without_correction(n):
-    """coding._sqrtrem with its final correction step left out: the
-    weakening TestSquareRoot must kill."""
-    bits = n.bit_length()
-    if bits <= coding._SQRT_CUTOFF:
-        s = math.isqrt(n)
-        return s, n - s * s
-    h = (bits + 3) // 4
-    t = (4 * h - bits) // 2
-    n <<= 2 * t
-    low = (1 << h) - 1
-    s, r = sqrtrem_without_correction(n >> 2 * h)
-    q, u = coding._div2n1n(r << h | n >> h & low, s << 1, h + 1)
-    s = (s << h) + q
-    r = (u << h | n & low) - q * q
-    if t:
-        s0 = s & 1
-        s >>= 1
-        r = r + s0 * (4 * s + 1) >> 2
-    return s, r
-
-
-def div3n2n_without_fixup(a12, a3, b, b1, b2, n):
-    """coding._div3n2n with its remainder fix-up left out: the weakening
-    TestSquareRoot must kill."""
-    if a12 >> n == b1:
-        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
-    else:
-        q, r = coding._div2n1n(a12, b1, n)
-    return q, (r << n | a3) - q * b2
-
-
 class TestSquareRoot:
     """The square root unpair takes, and its division, against math.isqrt
     and divmod."""

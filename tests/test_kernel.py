@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from checker_mutants import EXE_IGNORES_ASSUMPTIONS
 from yablo import kernel
 from yablo.kernel import (
     MAX_TAUT_ATOMS,
@@ -34,10 +35,8 @@ from yablo.syntax import (
     alpha_eq,
     base_signature,
     canonical,
-    free_vars,
     numeral,
     print_formula,
-    substitute,
 )
 
 AXIOMS = load_axioms((resources.files("yablo") / "corpus" / "arith.axioms").read_text())
@@ -411,23 +410,6 @@ EXE_WITNESS_IN_OPEN_ASSUMPTION = (
 )
 
 
-def exE_without_assumptions_banned(self, step):
-    """rule_exE with the free variables of active assumptions left out of
-    banned: the weakening the test below must kill."""
-    fi, fj = self._two(step)
-    if not isinstance(fi, Exists):
-        raise _Fail("first cited step is not existentially quantified")
-    if not isinstance(fj, Imp):
-        raise _Fail("second cited step is not an implication")
-    y = step.var
-    if not alpha_eq(fj.left, substitute(fi.body, fi.var, Var(y))):
-        raise _Fail(f"implication antecedent is not the witness instance at {y}")
-    if not alpha_eq(step.formula, fj.right):
-        raise _Fail("stated formula does not match the implication consequent")
-    if y in free_vars(fi) | free_vars(step.formula):
-        raise _Fail(f"witness variable {y} is not fresh here")
-
-
 class TestCheckerWeakenings:
     """Scripts that a weakened rule would accept, each rejected at its step."""
 
@@ -436,10 +418,20 @@ class TestCheckerWeakenings:
                     6, "witness variable u is not fresh here")
 
     def test_weakened_exE_accepts_the_unsound_script(self, monkeypatch):
-        monkeypatch.setattr(_KernelChecker, "rule_exE", exE_without_assumptions_banned)
+        EXE_IGNORES_ASSUMPTIONS(monkeypatch)
         assert run(EXE_WITNESS_IN_OPEN_ASSUMPTION, "Q(u) -> ~(exists x. ~Q(x))").ok
         with pytest.raises(AssertionError):
             self.test_exE_witness_free_in_an_open_assumption()
+
+    def test_undeclared_predicate_is_rejected(self):
+        script = parsed("1. P -> P by taut", "P -> P")
+        rejected_at(check_kernel_script(script, base_signature(), AXIOMS), 1, "unknown predicate P")
+
+    def test_unknown_rule_is_rejected(self):
+        # the parser refuses an unknown rule, so the step is built directly
+        script = parsed("1. P -> P by taut", "P -> P")
+        step = dataclasses.replace(script.steps[0], rule="nonesuch")
+        rejected_at(check(dataclasses.replace(script, steps=(step,))), 1, "unknown rule 'nonesuch'")
 
     def test_taut_rejects_a_non_consequence(self):
         rejected_at(run("1. bot by taut", "bot"), 1, "not a tautological consequence")
@@ -497,6 +489,14 @@ class TestCheckerWeakenings:
         )
         rejected_at(run(body, "bot"), 4, "stated formula does not match both case conclusions")
 
+    def test_orE_first_cited_step_is_a_disjunction(self):
+        rejected_at(run("1. bot -> bot by taut\n2. bot by orE 1, 1, 1", "bot"),
+                    2, "first cited step is not a disjunction")
+
+    def test_orE_second_cited_step_discharges_the_left_disjunct(self):
+        body = "1. ~bot | bot by taut\n2. bot -> bot by taut\n3. bot by orE 1, 2, 2"
+        rejected_at(run(body, "bot"), 3, "second cited step does not discharge the left disjunct")
+
     def test_negI_negates_the_refuted_formula(self):
         body = (
             "1. bot -> bot by taut\n"
@@ -527,6 +527,15 @@ class TestCheckerWeakenings:
             "4. bot by exE 2, 3 with y"
         )
         rejected_at(run(body, "bot"), 4, "stated formula does not match the implication consequent")
+
+    def test_exE_antecedent_is_the_witness_instance(self):
+        body = (
+            "1. 0 = 0 by numeval\n"
+            "2. exists x. x = x by exI 1 with 0\n"
+            "3. bot -> bot by taut\n"
+            "4. bot by exE 2, 3 with y"
+        )
+        rejected_at(run(body, "bot"), 4, "implication antecedent is not the witness instance at y")
 
     def test_fold_applies_the_named_predicate(self):
         # folding T's body into B(0) would make B(0), whose body is false, true

@@ -2,12 +2,13 @@ from importlib import resources
 
 import pytest
 
+from checker_mutants import M_REFL1_SKIPS_RANGES
 from yablo.corpus import Registry
 from yablo.kernel import _Fail
 from yablo.meta import ResolveError, _MetaChecker, check_meta_script, list_rules
 from yablo.parser import parse_formula
 from yablo.scripts import META_RULES, ScriptError, parse_meta_script, parse_script
-from yablo.syntax import Box, alpha_eq, apply_box_subst, base_signature
+from yablo.syntax import base_signature
 
 
 def f(text: str):
@@ -157,16 +158,6 @@ class TestJudgmentRules:
         rejected_at(run(body, "NotPrv: P", resolver=resolver), 1, "concludes Prv")
 
 
-def m_refl1_without_the_range_check(self, step):
-    """rule_m_refl1 without its check that quotation ranges are built from
-    schematic numerals: the weakening the test below must kill."""
-    fi = self._one(step)
-    if not isinstance(fi, Box):
-        raise _Fail("cited judgment is not a quotation")
-    if not alpha_eq(step.formula, apply_box_subst(fi)):
-        raise _Fail("stated formula is not the quoted instance")
-
-
 class TestCheckerWeakenings:
     # Every Prv judgment a script records has passed wf where it stands, and
     # a step cites it only while the blocks around it are open, so its ranges
@@ -188,7 +179,7 @@ class TestCheckerWeakenings:
             self.refl1_on_a_loose_range()
 
     def test_weakened_m_refl1_accepts_the_loose_range(self, monkeypatch):
-        monkeypatch.setattr(_MetaChecker, "rule_m_refl1", m_refl1_without_the_range_check)
+        M_REFL1_SKIPS_RANGES(monkeypatch)
         self.refl1_on_a_loose_range()
         with pytest.raises(pytest.fail.Exception):
             self.test_m_refl1_range_outside_the_schematic_names()
@@ -227,6 +218,15 @@ class TestCheckerWeakenings:
                 "2. Prv: 1 < 0 by m-witness 1 with y")
         rejected_at(run(body, "Prv: 1 < 0", assume="OneCon", resolver=resolver),
                     2, "stated formula is not the body instance at the witness y")
+
+    def test_m_witness_body_is_in_the_existential_fragment(self):
+        # 1-consistency yields a true witness, but only an existential body
+        # is provable at it; x = x is, its negation is not
+        resolver = StubResolver(kernel={"ex": f("exists x. (k < x) & ~(x = x)")})
+        body = ("1. Prv: exists x. (k < x) & ~(x = x) by m-kernel ex\n"
+                "2. Prv: ~(y = y) by m-witness 1 with y")
+        rejected_at(run(body, "Prv: ~(y = y)", assume="OneCon", resolver=resolver),
+                    2, "existential body is outside the existential fragment")
 
     def test_eigen_names_are_variable_names(self):
         text = (resources.files("yablo") / "corpus" / "thm1_1a.mprf").read_text()
