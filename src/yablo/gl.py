@@ -14,6 +14,13 @@ which takes each connective's symbol and precedence from `syntax`'s table:
 (also written `[ ]`) and `(` each count one nesting level; `bot` is falsum
 and any other identifier is an atom.
 
+Formulas, Kripke models and results are immutable, slotted values of one
+base class, kept apart from `syntax`'s nodes: fields are named once, in
+__match_args__, and taken positionally; assigning one raises AttributeError;
+the hash is computed once, at construction, from the fields' hashes, so the
+tableau's sets of formulas hash each formula in constant time.  Formula
+equality checks identity, then kind and hash, then the operands.
+
 Termination of the tableau needs no loop check: boolean decomposition only
 shrinks the non-modal part, and each modal jump strictly grows the set of
 boxed formulas on the left, which is bounded by the subformula closure.
@@ -21,53 +28,107 @@ boxed formulas on the left, which is bounded by the subformula closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import syntax as fol
 from .parser import ParseError, _operators, _Parser, _parse
 
 
-class MFormula:
+_set = object.__setattr__  # the one way to fill a value's slots
+
+
+class _Value:
+    """Base of this module's formulas and records: immutable and slotted.
+
+    Each class names its fields once, in __match_args__, and adds them to its
+    __slots__; the constructor takes them in that order and computes the hash
+    once, from theirs.  Two values are equal when they are of one class with
+    equal hashes and equal fields."""
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__match_args__}")
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)
+        _set(self, "_hash", hash((type(self), *values)))
+
+    def __init_subclass__(cls):
+        cls.__hash__ = _Value.__hash__  # which a class's own __eq__ would unset
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._hash == other._hash
+                                 and all(getattr(self, k) == getattr(other, k)
+                                         for k in self.__match_args__))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class MFormula(_Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(MFormula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Falsum(MFormula):
-    pass
+    __slots__ = ()
+    _hash = hash("bot")  # no fields, so one hash for every Falsum
+
+    def __init__(self):
+        pass
+
+    def __eq__(self, other):
+        return type(other) is Falsum
 
 
-@dataclass(frozen=True)
-class Not(MFormula):
-    sub: MFormula
+class _Unary(MFormula):
+    __slots__ = __match_args__ = ("sub",)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._hash == other._hash
+                                 and self.sub == other.sub)
 
 
-@dataclass(frozen=True)
-class Imp(MFormula):
-    left: MFormula
-    right: MFormula
+class _Binary(MFormula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._hash == other._hash
+                                 and self.left == other.left and self.right == other.right)
 
 
-@dataclass(frozen=True)
-class And(MFormula):
-    left: MFormula
-    right: MFormula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(MFormula):
-    left: MFormula
-    right: MFormula
+class Imp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(MFormula):
-    sub: MFormula
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Box(_Unary):
+    __slots__ = ()
 
 
 def atoms_of(f: MFormula) -> frozenset[str]:
@@ -153,13 +214,12 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KripkeModel:
-    size: int
-    rel: frozenset[tuple[int, int]]
-    val: tuple[frozenset[str], ...]
+class KripkeModel(_Value):
+    __slots__ = __match_args__ = ("size", "rel", "val")
 
-    def __post_init__(self) -> None:
+    def __init__(self, size: int, rel: frozenset[tuple[int, int]],
+                 val: tuple[frozenset[str], ...]) -> None:
+        _Value.__init__(self, size, rel, val)
         if self.size < 1 or len(self.val) != self.size:
             raise ModelError("one valuation per world is required")
         succ: list[set[int]] = [set() for _ in range(self.size)]
@@ -211,12 +271,11 @@ def forces(model: KripkeModel, w: int, f: MFormula) -> bool:
     return at(w, f)
 
 
-@dataclass(frozen=True)
-class GLResult:
-    valid: bool
-    model: KripkeModel | None
-    world: int | None
-    visited: int
+class GLResult(_Value):
+    """A verdict: valid, or a countermodel (a KripkeModel) and a world of it
+    where the formula is false; visited counts the states searched."""
+
+    __slots__ = __match_args__ = ("valid", "model", "world", "visited")
 
 
 class GLBudgetExceeded(Exception):
@@ -225,10 +284,11 @@ class GLBudgetExceeded(Exception):
 
 # -- sequent tableau
 
-@dataclass(frozen=True)
-class _Tree:
-    atoms: frozenset[str]
-    children: tuple["_Tree", ...]
+class _Tree(_Value):
+    """A countermodel as a tree: the atoms true at its root, and a subtree
+    for each box the root falsifies."""
+
+    __slots__ = __match_args__ = ("atoms", "children")
 
 
 # Non-branching rules run in a loop; only splits and modal jumps nest, two

@@ -9,11 +9,17 @@ substitution's terms written into its dotted variables.  The subst domain must
 cover the template's free variables exactly, so a Box node is closed from the
 outside except through the subst range.
 
-Each node holds two tuples, built by its __post_init__ from its children's:
-``free``, its free variables in order of first occurrence (for a Box, those of
-its range terms in subst order), and ``uses``, its (predicate, argument count)
-pairs in order of first occurrence, quotation templates included.  Neither
-is a dataclass field, so neither takes part in equality, hashing or the repr.
+Nodes are immutable: assigning or deleting an attribute raises
+AttributeError.  Each kind names its fields once, in __match_args__, which
+positional patterns and the repr read; its constructor takes them in that
+order.  A node also holds two tuples, built from its children's when it is
+constructed: ``free``, its free variables in order of first occurrence (for a
+Box, those of its range terms in subst order), and ``uses``, its (predicate,
+argument count) pairs in order of first occurrence, quotation templates
+included.  Both are () unless the kind can have some.  Neither takes part in
+equality, hashing or the repr.  The hash is computed once, at construction,
+from the children's hashes, so hashing a node of any depth takes constant
+time.  Equality checks identity, then kind and hash, then the fields.
 
 Each binary node kind's concrete symbol, and its precedence where it has one,
 is stated once, in the operator tables CONNECTIVES, TERM_OPS, COMPARISONS and
@@ -28,9 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import ClassVar
 
 IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 PRED_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
@@ -57,67 +61,112 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return a if len(merged) == len(a) else merged
 
 
-def _join(node) -> None:
-    """__post_init__ of the nodes with a left and a right operand."""
-    left, right = node.left, node.right
-    object.__setattr__(node, "free", _merge(left.free, right.free))
-    if left.uses or right.uses:
-        object.__setattr__(node, "uses", _merge(left.uses, right.uses))
+_set = object.__setattr__  # the one way to fill a node's slots
+
+
+class Node:
+    """Base of the term and formula nodes.  A kind adds its fields, and free
+    and uses where it can have some, to __slots__; its constructor fills
+    them, and the hash, through _set."""
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+    free: tuple[str, ...] = ()
+    uses: tuple[tuple[str, int], ...] = ()
+
+    def __init_subclass__(cls):
+        cls.__hash__ = Node.__hash__  # which a kind's own __eq__ would unset
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Binary(Node):
+    """A left and a right operand: the term operators and the comparisons,
+    and with uses the connectives."""
+
+    __match_args__ = ("left", "right")
+    __slots__ = __match_args__ + ("free",)
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "free", _merge(left.free, right.free))
+        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._hash == other._hash
+                                 and self.left == other.left and self.right == other.right)
 
 
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True)
-class Term:
-    free: ClassVar[tuple[str, ...]] = ()
-    uses: ClassVar[tuple[tuple[str, int], ...]] = ()
+class Term(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Term):
-    value: int
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int):
+        if value < 0:
             raise SyntaxBuildError("numerals are non-negative")
+        _set(self, "value", value)
+        _set(self, "_hash", hash((Num, value)))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Num and self._hash == other._hash
+                                 and self.value == other.value)
 
 
-@dataclass(frozen=True)
 class Succ(Term):
-    arg: Term
+    __match_args__ = ("arg",)
+    __slots__ = ("arg", "free")
 
     def __new__(cls, arg: Term):  # the successor of a numeral is the next numeral
         if isinstance(arg, Num):
             return Num(arg.value + 1)
-        return super().__new__(cls)
+        self = object.__new__(cls)
+        _set(self, "arg", arg)
+        _set(self, "free", arg.free)
+        _set(self, "_hash", hash((Succ, arg._hash)))
+        return self
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", self.arg.free)
-
-
-@dataclass(frozen=True)
-class Plus(Term):
-    left: Term
-    right: Term
-
-    __post_init__ = _join
+    def __eq__(self, other):
+        return self is other or (type(other) is Succ and self._hash == other._hash
+                                 and self.arg == other.arg)
 
 
-@dataclass(frozen=True)
-class Times(Term):
-    left: Term
-    right: Term
-
-    __post_init__ = _join
+class Plus(_Binary, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Times(_Binary, Term):
+    __slots__ = ()
+
+
 class Var(Term):
-    name: str
+    __match_args__ = ("name",)
+    __slots__ = ("name", "free")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", (_check_var(self.name),))
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "free", (_check_var(name),))
+        _set(self, "_hash", hash((Var, name)))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Var and self._hash == other._hash
+                                 and self.name == other.name)
 
 
 numeral = Num
@@ -148,64 +197,59 @@ def decimal(n: int) -> str:
 # ---------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
-class Formula:
-    free: ClassVar[tuple[str, ...]] = ()
-    uses: ClassVar[tuple[tuple[str, int], ...]] = ()
+class Formula(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Falsum(Formula):
-    pass
+    __slots__ = ()
+    _hash = hash("bot")  # no fields, so one hash for every Falsum
+
+    def __eq__(self, other):
+        return type(other) is Falsum
 
 
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: Term
-    right: Term
-
-    __post_init__ = _join
+class Eq(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lt(Formula):
-    left: Term
-    right: Term
-
-    __post_init__ = _join
+class Lt(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __match_args__ = ("sub",)
+    __slots__ = ("sub", "free", "uses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", self.sub.free)
-        object.__setattr__(self, "uses", self.sub.uses)
+    def __init__(self, sub: Formula):
+        _set(self, "sub", sub)
+        _set(self, "free", sub.free)
+        _set(self, "uses", sub.uses)
+        _set(self, "_hash", hash((Not, sub._hash)))
 
-
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
-
-    __post_init__ = _join
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-    __post_init__ = _join
+    def __eq__(self, other):
+        return self is other or (type(other) is Not and self._hash == other._hash
+                                 and self.sub == other.sub)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Connective(_Binary, Formula):
+    __slots__ = ("uses",)
 
-    __post_init__ = _join
+    def __init__(self, left: Formula, right: Formula):
+        _Binary.__init__(self, left, right)
+        _set(self, "uses", _merge(left.uses, right.uses))
+
+
+class Imp(_Connective):
+    __slots__ = ()
+
+
+class And(_Connective):
+    __slots__ = ()
+
+
+class Or(_Connective):
+    __slots__ = ()
 
 
 def _bind(q: ForAll | Exists) -> None:
@@ -213,40 +257,54 @@ def _bind(q: ForAll | Exists) -> None:
     v, free = _check_var(q.var), q.body.free
     if v in free:
         free = tuple(w for w in free if w != v)
-    object.__setattr__(q, "free", free)
-    object.__setattr__(q, "uses", q.body.uses)
+    _set(q, "free", free)
+    _set(q, "uses", q.body.uses)
 
 
-@dataclass(frozen=True)
-class ForAll(Formula):
-    var: str
-    body: Formula
+class _Quantifier(Formula):
+    __match_args__ = ("var", "body")
+    __slots__ = __match_args__ + ("free", "uses")
 
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        self.__post_init__()
+        _set(self, "_hash", hash((type(self), var, body._hash)))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._hash == other._hash
+                                 and self.var == other.var and self.body == other.body)
+
+
+class ForAll(_Quantifier):
+    __slots__ = ()
     __post_init__ = _bind
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
-
+class Exists(_Quantifier):
+    __slots__ = ()
     __post_init__ = _bind
 
 
-@dataclass(frozen=True)
 class PredApp(Formula):
-    name: str
-    args: tuple[Term, ...] = ()
+    __match_args__ = ("name", "args")
+    __slots__ = __match_args__ + ("free", "uses")
 
-    def __post_init__(self):
-        if not PRED_RE.match(self.name):
-            raise SyntaxBuildError(f"bad predicate name {self.name!r}")
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "free", reduce(_merge, (a.free for a in self.args), ()))
-        object.__setattr__(self, "uses", ((self.name, len(self.args)),))
+    def __init__(self, name: str, args: tuple[Term, ...] = ()):
+        if not PRED_RE.match(name):
+            raise SyntaxBuildError(f"bad predicate name {name!r}")
+        args = tuple(args)
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "free", reduce(_merge, (a.free for a in args), ()))
+        _set(self, "uses", ((name, len(args)),))
+        _set(self, "_hash", hash((PredApp, name, args)))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is PredApp and self._hash == other._hash
+                                 and self.name == other.name and self.args == other.args)
 
 
-@dataclass(frozen=True)
 class Box(Formula):
     """Provability of the template at the values supplied by subst.
 
@@ -254,8 +312,14 @@ class Box(Formula):
     no duplicates) to a term.  Entries are stored sorted by variable name.
     """
 
-    template: Formula
-    subst: tuple[tuple[str, Term], ...] = ()
+    __match_args__ = ("template", "subst")
+    __slots__ = __match_args__ + ("free", "uses")
+
+    def __init__(self, template: Formula, subst: tuple[tuple[str, Term], ...] = ()):
+        _set(self, "template", template)
+        _set(self, "subst", subst)
+        self.__post_init__()
+        _set(self, "_hash", hash((Box, template._hash, self.subst)))
 
     def __post_init__(self):
         entries = tuple(sorted(self.subst, key=lambda e: e[0]))
@@ -273,9 +337,13 @@ class Box(Formula):
             if extra:
                 bits.append(f"entries for non-template variables {extra}")
             raise SyntaxBuildError("Box substitution mismatch: " + "; ".join(bits))
-        object.__setattr__(self, "subst", entries)
-        object.__setattr__(self, "free", reduce(_merge, (t.free for _, t in entries), ()))
-        object.__setattr__(self, "uses", self.template.uses)
+        _set(self, "subst", entries)
+        _set(self, "free", reduce(_merge, (t.free for _, t in entries), ()))
+        _set(self, "uses", self.template.uses)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Box and self._hash == other._hash
+                                 and self.template == other.template and self.subst == other.subst)
 
     def range_of(self, v: str) -> Term:
         for name, t in self.subst:
@@ -300,11 +368,6 @@ def iff(a: Formula, b: Formula) -> And:
 
 
 # ---------------------------------------------------------------- free variables
-
-
-def term_vars(t: Term) -> set[str]:
-    """The free variables of t, as a fresh set."""
-    return set(t.free)
 
 
 def free_vars(f: Formula) -> set[str]:
@@ -522,7 +585,6 @@ def print_formula(f: Formula, prec: int = 0) -> str:
 # ---------------------------------------------------------------- signature
 
 
-@dataclass
 class Signature:
     """Registry of predicate symbols: arity, and for defined ones the body.
 
@@ -530,7 +592,10 @@ class Signature:
     definition is a no-op so independent scripts can share fixed points.
     """
 
-    _entries: dict[str, tuple[tuple[str, ...], Formula | None]] = field(default_factory=dict)
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: dict[str, tuple[tuple[str, ...], Formula | None]] | None = None):
+        self._entries = {} if entries is None else entries
 
     def declare(self, name: str, arity: int) -> None:
         if name in self._entries:

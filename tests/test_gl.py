@@ -13,10 +13,12 @@ from yablo.gl import (
     Box,
     Falsum,
     GLBudgetExceeded,
+    Imp,
     KripkeModel,
     ModelError,
     Not,
     NotSkeletonizable,
+    Or,
     _transitive_relations,
     atoms_of,
     brute_force,
@@ -102,6 +104,40 @@ class TestModalSyntax:
         with pytest.raises(ParseError, match="nested deeper") as e:
             parse_modal("p | " * (MAX_DEPTH + 1) + "p")
         assert e.value.pos == 4 * MAX_DEPTH + 2
+
+
+class TestValueContract:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        g = m("[](p -> q) & ~bot")
+        model = KripkeModel(2, frozenset({(0, 1)}), (frozenset(), frozenset({"p"})))
+        for value, name in ((g, "left"), (g.left, "sub"), (g.right, "sub"),
+                            (g.left.sub.left, "name"), (model, "rel"),
+                            (decide_gl(m("p")), "valid")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, Falsum())
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert print_modal(g) == "[](p -> q) & ~bot"
+
+    def test_deep_chains_hash(self):
+        g = Atom("p")
+        for _ in range(5000):
+            g = Box(g)
+        assert hash(g) != hash(g.sub) and g in {g}
+
+    def test_equal_formulas_built_apart_hash_equal(self):
+        built = Imp(Box(Imp(Box(Atom("p")), Atom("p"))), Box(Atom("p")))
+        assert built == m("[]([]p -> p) -> []p") and hash(built) == hash(m("[]([]p -> p) -> []p"))
+        assert len({Not(Atom("p")), Box(Atom("p")), And(Atom("p"), Atom("q")),
+                    Or(Atom("p"), Atom("q")), And(Atom("q"), Atom("p"))}) == 5
+
+    def test_results_compare_by_their_fields(self):
+        assert decide_gl(m("[]p -> p")) == decide_gl(m("[]p -> p"))
+        assert decide_gl(m("p -> p")) != decide_gl(m("q -> q | p"))
+        assert repr(decide_gl(m("p -> p"))) == \
+            "GLResult(valid=True, model=None, world=None, visited=2)"
+        with pytest.raises(TypeError):
+            KripkeModel(1, frozenset())
 
 
 class TestKripkeModels:

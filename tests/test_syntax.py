@@ -46,7 +46,6 @@ from yablo.syntax import (
     substitute,
     substitute_many,
     substitute_term,
-    term_vars,
 )
 
 
@@ -103,6 +102,49 @@ class TestTerms:
         assert print_term(t("x * (y + z)")) == "x * (y + z)"
         assert print_term(t("x * y + z")) == "x * y + z"
         assert print_term(t("S(x + 1)")) == "S(x + 1)"
+
+
+class TestNodeContract:
+    SAMPLE = "all x. x < S(y) & P(x, y + 1) -> Prov[~Q(z) ; z := x * 2] | bot"
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        g = f(self.SAMPLE)
+        box = g.body.right.left
+        for node, name in ((g, "body"), (g, "free"), (g.body, "left"), (box, "subst"),
+                           (box, "uses"), (Num(3), "value"), (Var("x"), "name"),
+                           (Succ(Var("x")), "arg"), (Falsum(), "free")):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Falsum())
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert print_formula(g) == self.SAMPLE
+
+    def test_deep_chains_hash(self):
+        g = Eq(Var("x"), Zero())
+        for _ in range(5000):
+            g = Not(g)
+        assert hash(g) != hash(g.sub) and g in {g}
+
+    def test_equal_formulas_built_apart_hash_equal(self):
+        built = ForAll("x", Imp(And(Lt(Var("x"), Succ(Var("y"))),
+                                    PredApp("P", (Var("x"), Plus(Var("y"), numeral(1))))),
+                                Or(Box(Not(PredApp("Q", (Var("z"),))),
+                                       (("z", Times(Var("x"), numeral(2))),)), Falsum())))
+        for g in (f(self.SAMPLE), built):
+            assert g == f(self.SAMPLE) and g is not f(self.SAMPLE)
+            assert hash(g) == hash(f(self.SAMPLE))
+        assert Succ(numeral(2)) == numeral(3) and hash(Succ(numeral(2))) == hash(numeral(3))
+
+    def test_kinds_with_equal_operands_differ(self):
+        x, y = Var("x"), Var("y")
+        assert len({Plus(x, y), Times(x, y), Eq(x, y), Lt(x, y), Plus(y, x)}) == 5
+        assert And(Eq(x, y), Falsum()) != Or(Eq(x, y), Falsum())
+        assert ForAll("x", Eq(x, y)) != Exists("x", Eq(x, y))
+
+    def test_repr_names_the_fields(self):
+        assert repr(PredApp("P", (Succ(Var("x")),))) == \
+            "PredApp(name='P', args=(Succ(arg=Var(name='x')),))"
+        assert repr(Box(Falsum())) == "Box(template=Falsum(), subst=())"
 
 
 class TestBoxWellFormedness:
@@ -206,9 +248,10 @@ class TestSubstitution:
 
     def test_each_quantifier_body_is_scanned_once(self, monkeypatch):
         # 200 nested binders over k < y.  A node's free variables are computed
-        # once, by its __post_init__, when it is built; rescanning each body at
-        # its binder, as the reference substitution does with the recursive
-        # walker, would visit about 200 * 200 / 2 nodes.  Both are counted.
+        # once, when it is built, and stored in its free slot; rescanning each
+        # body at its binder, as the reference substitution does with the
+        # recursive walker, would visit about 200 * 200 / 2 nodes.  Both are
+        # counted: each slot fill of free, and each walker call.
         g = Lt(Var("k"), Var("y"))
         for i in range(200):
             g = ForAll(f"y{i}", g)
@@ -220,9 +263,12 @@ class TestSubstitution:
                 return compute(node, *rest)
             return visit
 
-        for cls in syntax.Term.__subclasses__() + syntax.Formula.__subclasses__():
-            if "__post_init__" in vars(cls):
-                monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+        def fill(node, name, value):
+            if name == "free":
+                visits.append(node)
+            object.__setattr__(node, name, value)
+
+        monkeypatch.setattr(syntax, "_set", fill)
         monkeypatch.setattr(walkers, "free_vars", counted(walkers.free_vars))
         monkeypatch.setattr(reference, "free_vars", walkers.free_vars)
         out = substitute_many(g, {"k": numeral(0)})
@@ -284,7 +330,7 @@ class TestNodeAttributesAgainstWalkers:
         rng = random.Random(20261021)
         for _ in range(500):
             u = rand_term(rng, rng.randrange(0, 5), VARS)
-            assert term_vars(u) == walkers.term_vars(u)
+            assert set(u.free) == walkers.term_vars(u)
             assert list(u.free) == walkers._template_var_order(Eq(u, Zero()))
 
     def test_arity_messages(self):
