@@ -12,9 +12,13 @@ implication (gd2), quotation of any formula in the existential fragment (gd3),
 the quoted-soundness-to-truth collapse (lob), the definitional unfolding and
 folding implications, and the consistency sentence's definition (con-def).
 
-The block discipline, citation and the script driver live in
-:class:`BlockChecker`, which the meta checker shares; :class:`_KernelChecker`
-adds only the step kinds and one ``rule_<name>`` method per rule.
+The structural rules (mp, the and/or/negation rules, reiterate and con-def)
+are schemas in ``SCHEMAS``, premise patterns over the metavariables A, B, C
+and a conclusion pattern, all checked by the one matcher ``match_schema``
+that also checks the arith axioms.  The block discipline, citation, schema
+checking and the script driver live in :class:`BlockChecker`, which the meta
+checker shares; :class:`_KernelChecker` adds the step kinds, the schema table
+and one ``rule_<name>`` method for each other rule.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from dataclasses import dataclass, field
 from .coding import DiagonalError, fix_intro
 from .scripts import KernelScript, KernelStep
 from .syntax import (
+    COMPARISONS,
     CON,
     CON_BODY,
+    CONNECTIVES,
     And,
     Box,
     Eq,
@@ -187,41 +193,90 @@ def taut_consequence(premises: list[Formula], goal: Formula) -> tuple[bool, dict
     return False, {print_formula(a): bool(row >> i & 1) for i, a in enumerate(order)}
 
 
-def match_schema(pattern: Formula, instance: Formula) -> dict[str, Term] | None:
-    """One-sided match of a quantifier-free axiom schema against a formula,
-    assigning terms to the schema's free variables."""
-    env: dict[str, Term] = {}
+class Metavariable(PredApp):
+    """A formula metavariable of a rule schema, printed as its name.  Only
+    match_schema binds one; any other predicate, `Con` included, is compared
+    like every other atom.  The parser never builds one, so no axiom or
+    stated formula holds one."""
 
-    def mt(p: Term, i: Term) -> bool:
-        match p:
-            case Var(name):
-                if name in env:
-                    return env[name] == i
-                env[name] = i
-                return True
-            case Num(_):
-                return p == i
-            case Succ(a):
-                if isinstance(i, Num):  # S(a) against the numeral k > 0 matches a := k - 1
-                    return i.value > 0 and mt(a, Num(i.value - 1))
-                return isinstance(i, Succ) and mt(a, i.arg)
-            case Plus(l, r) | Times(l, r):
-                return type(i) is type(p) and mt(l, i.left) and mt(r, i.right)
-        return False
+    __slots__ = ()
 
-    def mf(p: Formula, i: Formula) -> bool:
-        match p:
-            case Falsum():
-                return isinstance(i, Falsum)
-            case Eq(l, r) | Lt(l, r):
-                return type(i) is type(p) and mt(l, i.left) and mt(r, i.right)
-            case Not(s):
-                return isinstance(i, Not) and mf(s, i.sub)
-            case Imp(l, r) | And(l, r) | Or(l, r):
-                return type(i) is type(p) and mf(l, i.left) and mf(r, i.right)
-        return False
 
-    return env if mf(pattern, instance) else None
+A, B, C = (Metavariable(name) for name in "ABC")
+
+# The structural rules, each as a schema: rule -> (premise patterns in
+# citation order, conclusion pattern), read `premises |- conclusion`.
+SCHEMAS = {
+    "mp": ((Imp(A, B), A), B),
+    "andI": ((A, B), And(A, B)),
+    "andE1": ((And(A, B),), A),
+    "andE2": ((And(A, B),), B),
+    "orI1": ((A,), Or(A, B)),
+    "orI2": ((B,), Or(A, B)),
+    "orE": ((Or(A, B), Imp(A, C), Imp(B, C)), C),
+    "negI": ((Imp(A, Falsum()),), Not(A)),
+    "negE": ((A, Not(A)), Falsum()),
+    "reiterate": ((A,), A),
+    "con-def": ((), iff(CON, CON_BODY)),
+}
+
+
+def _match_term(p: Term, i: Term, env: dict) -> bool:
+    match p:
+        case Var(name):
+            if name in env:
+                return env[name] == i
+            env[name] = i
+            return True
+        case Num(_):
+            return p == i
+        case Succ(a):
+            if isinstance(i, Num):  # S(a) against the numeral k > 0 matches a := k - 1
+                return i.value > 0 and _match_term(a, Num(i.value - 1), env)
+            return isinstance(i, Succ) and _match_term(a, i.arg, env)
+        case Plus(l, r) | Times(l, r):
+            return type(i) is type(p) and _match_term(l, i.left, env) and _match_term(r, i.right, env)
+    return False
+
+
+def match_schema(pattern: Formula, instance: Formula, env: dict) -> tuple[Formula, Formula] | None:
+    """One-sided match of a schema against a formula: an arith axiom, whose
+    free variables stand for terms, or a rule schema, whose metavariables
+    stand for formulas.  The first occurrence of either binds it in env;
+    every later one must be the same term, or an alpha-equivalent formula.
+    Connectives, negations and comparisons must be of the pattern's kind, and
+    any other pattern node alpha-equivalent to the instance's.  Returns None
+    if instance matches, else the first (pattern, instance) subformulas that
+    differ."""
+    kind = type(pattern)
+    if kind is Metavariable:
+        bound = env.setdefault(pattern.name, instance)
+        return None if bound is instance or alpha_eq(bound, instance) else (pattern, instance)
+    if kind in CONNECTIVES:
+        if type(instance) is not kind:
+            return pattern, instance
+        return (match_schema(pattern.left, instance.left, env)
+                or match_schema(pattern.right, instance.right, env))
+    if kind is Not:
+        if type(instance) is not Not:
+            return pattern, instance
+        return match_schema(pattern.sub, instance.sub, env)
+    if kind in COMPARISONS:
+        if (type(instance) is kind and _match_term(pattern.left, instance.left, env)
+                and _match_term(pattern.right, instance.right, env)):
+            return None
+        return pattern, instance
+    return None if alpha_eq(pattern, instance) else (pattern, instance)
+
+
+def _expected(miss: tuple[Formula, Formula], env: dict, seen: str) -> str:
+    """What a schema expected where match_schema found miss, and what was
+    seen there instead."""
+    pattern, instance = miss
+    want = print_formula(pattern)
+    if type(pattern) is Metavariable:
+        want = f"{print_formula(env[pattern.name])} at {want}"
+    return f"expected {want}, {seen} {print_formula(instance)}"
 
 
 def _restrict(subst: tuple[tuple[str, Term], ...], names: tuple[str, ...]) -> tuple[tuple[str, Term], ...]:
@@ -242,6 +297,9 @@ def arity_violation(f: Formula, sig: Signature) -> str | None:
 # ---------------------------------------------------------------- block discipline
 
 
+_STEPS = ("no step", "exactly one step", "exactly two steps", "exactly three steps")
+
+
 class BlockChecker:
     """Citation through open blocks and the script driver, shared by the
     kernel and meta checkers.
@@ -249,12 +307,14 @@ class BlockChecker:
     A step opening a block pushes its own index on ``open_blocks`` before it
     is recorded, so every record carries the path of blocks open around it;
     a step may cite a record only while that record's path is still open.
-    Subclasses check their step kinds in ``_check_step`` and give each rule
-    a ``rule_<name>`` method (``-`` in a rule name spelled ``_``).
+    Subclasses check their step kinds in ``_check_step``.  A rule is checked
+    by its entry in the class's ``schemas`` if it has one, else by the
+    class's ``rule_<name>`` method (``-`` in a rule name spelled ``_``).
     """
 
     block = "assumption block"
     goal = ""  # the judgment the final record must carry; the kernel has none
+    schemas: dict[str, tuple[tuple[Formula, ...], Formula]] = {}
 
     def __init__(self, script, signature: Signature):
         self.script = script
@@ -302,7 +362,25 @@ class BlockChecker:
         # the latest record sits in this block: closing a nested block records in it
         return self.records[next(reversed(self.records))]
 
+    def by_schema(self, step) -> None:
+        """Match the cited steps, in order, against the premise patterns of
+        the rule's schema and then the stated formula against its conclusion
+        pattern, under one binding of the metavariables."""
+        premises, conclusion = self.schemas[step.rule]
+        if len(step.refs) != len(premises):
+            raise _Fail(f"{step.rule} cites {_STEPS[len(premises)]}")
+        env: dict = {}
+        for ref, pattern in zip(step.refs, premises):
+            miss = match_schema(pattern, self.cited(ref), env)
+            if miss:
+                raise _Fail(f"cited step {ref}: {_expected(miss, env, 'found')}")
+        miss = match_schema(conclusion, step.formula, env)
+        if miss:
+            raise _Fail(_expected(miss, env, "stated"))
+
     def handler(self, rule: str):
+        if rule in self.schemas:
+            return self.by_schema
         handle = getattr(self, "rule_" + rule.replace("-", "_"), None)
         if handle is None:
             raise _Fail(f"unknown rule {rule!r}")
@@ -364,6 +442,8 @@ class BlockChecker:
 
 
 class _KernelChecker(BlockChecker):
+    schemas = SCHEMAS
+
     def __init__(self, script: KernelScript, signature: Signature, axioms: dict[str, Formula]):
         super().__init__(script, signature)
         self.axioms = axioms
@@ -395,73 +475,6 @@ class _KernelChecker(BlockChecker):
         ok, witness = taut_consequence(premises, step.formula)
         if not ok:
             raise _Fail(f"not a tautological consequence; countervaluation {witness}")
-
-    def rule_mp(self, step: KernelStep) -> None:
-        fi, fj = self._two(step)
-        if not isinstance(fi, Imp):
-            raise _Fail("first cited step is not an implication")
-        if not alpha_eq(fj, fi.left):
-            raise _Fail("second cited step does not match the antecedent")
-        if not alpha_eq(step.formula, fi.right):
-            raise _Fail("stated formula does not match the consequent")
-
-    def rule_andI(self, step: KernelStep) -> None:
-        fi, fj = self._two(step)
-        if not isinstance(step.formula, And):
-            raise _Fail("stated formula is not a conjunction")
-        if not (alpha_eq(step.formula.left, fi) and alpha_eq(step.formula.right, fj)):
-            raise _Fail("conjuncts do not match the cited steps")
-
-    def rule_andE1(self, step: KernelStep) -> None:
-        fi = self._one(step)
-        if not isinstance(fi, And):
-            raise _Fail("cited step is not a conjunction")
-        if not alpha_eq(step.formula, fi.left):
-            raise _Fail("stated formula is not the left conjunct")
-
-    def rule_andE2(self, step: KernelStep) -> None:
-        fi = self._one(step)
-        if not isinstance(fi, And):
-            raise _Fail("cited step is not a conjunction")
-        if not alpha_eq(step.formula, fi.right):
-            raise _Fail("stated formula is not the right conjunct")
-
-    def rule_orI1(self, step: KernelStep) -> None:
-        fi = self._one(step)
-        if not isinstance(step.formula, Or) or not alpha_eq(step.formula.left, fi):
-            raise _Fail("stated formula is not a disjunction whose left side is the cited step")
-
-    def rule_orI2(self, step: KernelStep) -> None:
-        fi = self._one(step)
-        if not isinstance(step.formula, Or) or not alpha_eq(step.formula.right, fi):
-            raise _Fail("stated formula is not a disjunction whose right side is the cited step")
-
-    def rule_orE(self, step: KernelStep) -> None:
-        if len(step.refs) != 3:
-            raise _Fail("orE cites a disjunction and two implications")
-        fi, fj, fk = (self.get(r).formula for r in step.refs)
-        if not isinstance(fi, Or):
-            raise _Fail("first cited step is not a disjunction")
-        if not (isinstance(fj, Imp) and alpha_eq(fj.left, fi.left)):
-            raise _Fail("second cited step does not discharge the left disjunct")
-        if not (isinstance(fk, Imp) and alpha_eq(fk.left, fi.right)):
-            raise _Fail("third cited step does not discharge the right disjunct")
-        if not (alpha_eq(fj.right, step.formula) and alpha_eq(fk.right, step.formula)):
-            raise _Fail("stated formula does not match both case conclusions")
-
-    def rule_negI(self, step: KernelStep) -> None:
-        fi = self._one(step)
-        if not (isinstance(fi, Imp) and isinstance(fi.right, Falsum)):
-            raise _Fail("cited step is not an implication into absurdity")
-        if not alpha_eq(step.formula, Not(fi.left)):
-            raise _Fail("stated formula is not the negation of the refuted formula")
-
-    def rule_negE(self, step: KernelStep) -> None:
-        fi, fj = self._two(step)
-        if not isinstance(step.formula, Falsum):
-            raise _Fail("stated formula must be absurdity")
-        if not (isinstance(fj, Not) and alpha_eq(fj.sub, fi)):
-            raise _Fail("second cited step is not the negation of the first")
 
     def rule_allI(self, step: KernelStep) -> None:
         fi = self._one(step)
@@ -509,7 +522,7 @@ class _KernelChecker(BlockChecker):
         axiom = self.axioms.get(step.name)
         if axiom is None:
             raise _Fail(f"no axiom named {step.name}")
-        if match_schema(axiom, step.formula) is None:
+        if match_schema(axiom, step.formula, {}):
             raise _Fail(f"stated formula is not an instance of axiom {step.name}")
 
     def rule_numeval(self, step: KernelStep) -> None:
@@ -551,15 +564,10 @@ class _KernelChecker(BlockChecker):
             raise _Fail("other side does not match the instantiated definition body")
 
     def rule_gd1(self, step: KernelStep) -> None:
-        if len(step.refs) != 1:
-            raise _Fail("gd1 cites exactly one step")
-        ref = step.refs[0]
-        rec = self.records.get(ref)
-        if rec is None:
-            raise _Fail(f"cites step {ref}, which does not exist")
-        if rec.path != ():
+        fi = self._one(step)
+        if self.records[step.refs[0]].path != ():
             raise _Fail("quotation introduction may only cite a step outside every assumption block")
-        if not alpha_eq(step.formula, identity_box(rec.formula)):
+        if not alpha_eq(step.formula, identity_box(fi)):
             raise _Fail("stated formula is not the self-substituted quotation of the cited step")
 
     def rule_gd2(self, step: KernelStep) -> None:
@@ -599,15 +607,6 @@ class _KernelChecker(BlockChecker):
         )
         if not alpha_eq(f, expected):
             raise _Fail("antecedent does not quote `if provable then true` for the consequent's formula")
-
-    def rule_con_def(self, step: KernelStep) -> None:
-        if not alpha_eq(step.formula, iff(CON, CON_BODY)):
-            raise _Fail("stated formula is not the definitional equivalence for Con")
-
-    def rule_reiterate(self, step: KernelStep) -> None:
-        fi = self._one(step)
-        if not alpha_eq(step.formula, fi):
-            raise _Fail("stated formula differs from the cited step")
 
 
 def check_kernel_script(script: KernelScript, signature: Signature,

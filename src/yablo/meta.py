@@ -11,9 +11,10 @@ Free variables of judgment formulas are schematic numerals.  They must be
 declared up front (`eigen`), except for witnesses that m-witness extracts,
 which become usable inside the block where they were obtained.
 
-The block discipline, citation and the script driver are the kernel's
-:class:`~yablo.kernel.BlockChecker`; this module adds the step kinds, the rule
-table and one ``rule_<name>`` method per rule.
+The block discipline, citation, schema checking and the script driver are
+the kernel's :class:`~yablo.kernel.BlockChecker`; this module adds the step
+kinds, the rule table, m-mp as the kernel's mp schema over Prv judgments,
+and one ``rule_<name>`` method for each other rule.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .coding import fix_intro  # noqa: F401  unused, kept bound: bench/tracing.py wraps meta.fix_intro
-from .kernel import BlockChecker, CheckReport, _Fail, arity_violation
+from .kernel import SCHEMAS, BlockChecker, CheckReport, _Fail, arity_violation
 from .scripts import MetaScript, MetaStep
 from .syntax import (
     CON,
@@ -30,7 +31,6 @@ from .syntax import (
     Box,
     Exists,
     Formula,
-    Imp,
     Lt,
     Not,
     Signature,
@@ -79,10 +79,6 @@ _RULES = {r.name: r for r in (
 )}
 
 
-def list_rules() -> list[RuleInfo]:
-    return list(_RULES.values())
-
-
 class ResolveError(KeyError):
     pass
 
@@ -103,6 +99,7 @@ def _covers(have: frozenset[str], need: str) -> bool:
 
 class _MetaChecker(BlockChecker):
     block = "refutation block"
+    schemas = {"m-mp": SCHEMAS["mp"]}  # over the formulas of cited Prv judgments
 
     def __init__(self, script: MetaScript, signature: Signature, resolver: Resolver):
         super().__init__(script, signature)
@@ -158,15 +155,6 @@ class _MetaChecker(BlockChecker):
             raise _Fail(str(e.args[0]) if e.args else f"cannot resolve {step.name}") from None
         if not alpha_eq(step.formula, concl):
             raise _Fail(f"stated formula differs from the conclusion of {step.name}")
-
-    def rule_m_mp(self, step: MetaStep) -> None:
-        fi, fj = self._two(step)
-        if not isinstance(fi, Imp):
-            raise _Fail("first cited judgment is not about an implication")
-        if not alpha_eq(fj, fi.left):
-            raise _Fail("second cited judgment does not match the antecedent")
-        if not alpha_eq(step.formula, fi.right):
-            raise _Fail("stated formula does not match the consequent")
 
     def rule_m_inst(self, step: MetaStep) -> None:
         if len(step.refs) != 1 or not step.bindings:

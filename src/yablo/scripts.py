@@ -22,8 +22,8 @@ can point at the offending step.  Free variables need no declaration in
 kernel scripts: they are schematic.
 
 Each script kind has one table of its rules' argument shapes
-(`KERNEL_RULES`, `META_RULES`); its checker has a `rule_<name>` method for
-every entry.
+(`KERNEL_RULES`, `META_RULES`); its checker checks every entry by a schema
+in its `schemas` table or by a `rule_<name>` method.
 """
 
 from __future__ import annotations

@@ -190,6 +190,8 @@ def _no_digit_limit():
 
 def decimal(n: int) -> str:
     """str(n), past the interpreter's int-to-str digit limit."""
+    if n.bit_length() < 2000:  # under 640 digits, within any limit the interpreter allows
+        return str(n)
     with _no_digit_limit():
         return str(n)
 
@@ -537,17 +539,17 @@ def sigma1(f: Formula) -> bool:
 def print_term(t: Term, prec: int = 0) -> str:
     """t in concrete syntax, parenthesized as the operand of an operator of
     precedence prec (0 for none)."""
-    match t:
-        case Num(n):
-            return decimal(n)
-        case Var(name):
-            return name
-        case Succ(a):
-            return f"S({print_term(a)})"
-        case Plus(l, r) | Times(l, r):
-            op, mine = TERM_OPS[type(t)]
-            s = f"{print_term(l, mine)} {op} {print_term(r, mine + 1)}"
-            return f"({s})" if prec > mine else s
+    kind = type(t)
+    if kind is Var:
+        return t.name
+    if kind is Num:
+        return decimal(t.value)
+    if kind in TERM_OPS:
+        op, mine = TERM_OPS[kind]
+        s = f"{print_term(t.left, mine)} {op} {print_term(t.right, mine + 1)}"
+        return f"({s})" if prec > mine else s
+    if kind is Succ:
+        return f"S({print_term(t.arg)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -555,30 +557,30 @@ def print_formula(f: Formula, prec: int = 0) -> str:
     """f in concrete syntax, parenthesized as the operand of a connective of
     precedence prec (0 for none; 4 for `~`).  A quantifier as an operand is
     always parenthesized."""
-    match f:
-        case Falsum():
-            return "bot"
-        case Eq(l, r) | Lt(l, r):
-            return f"{print_term(l)} {COMPARISONS[type(f)]} {print_term(r)}"
-        case Not(s):
-            return "~" + print_formula(s, 4)
-        case Imp(l, r) | And(l, r) | Or(l, r):
-            op, mine = CONNECTIVES[type(f)]
-            s = f"{print_formula(l, mine + 1)} {op} {print_formula(r, mine)}"
-            return f"({s})" if prec > mine else s
-        case ForAll(v, b) | Exists(v, b):
-            s = f"{QUANTIFIERS[type(f)]} {v}. {print_formula(b)}"
-            return f"({s})" if prec > 0 else s
-        case PredApp(name, args):
-            if not args:
-                return name
-            return f"{name}({', '.join(print_term(a) for a in args)})"
-        case Box(tpl, subst):
-            inner = print_formula(tpl)
-            if not subst:
-                return f"Prov[{inner} ;]"
-            entries = ", ".join(f"{v} := {print_term(t)}" for v, t in subst)
-            return f"Prov[{inner} ; {entries}]"
+    kind = type(f)
+    if kind in CONNECTIVES:
+        op, mine = CONNECTIVES[kind]
+        s = f"{print_formula(f.left, mine + 1)} {op} {print_formula(f.right, mine)}"
+        return f"({s})" if prec > mine else s
+    if kind in COMPARISONS:
+        return f"{print_term(f.left)} {COMPARISONS[kind]} {print_term(f.right)}"
+    if kind is Not:
+        return "~" + print_formula(f.sub, 4)
+    if kind is Box:
+        inner = print_formula(f.template)
+        if not f.subst:
+            return f"Prov[{inner} ;]"
+        entries = ", ".join(f"{v} := {print_term(t)}" for v, t in f.subst)
+        return f"Prov[{inner} ; {entries}]"
+    if kind in QUANTIFIERS:
+        s = f"{QUANTIFIERS[kind]} {f.var}. {print_formula(f.body)}"
+        return f"({s})" if prec > 0 else s
+    if kind is Falsum:
+        return "bot"
+    if isinstance(f, PredApp):
+        if not f.args:
+            return f.name
+        return f"{f.name}({', '.join(print_term(a) for a in f.args)})"
     raise TypeError(f"not a formula: {f!r}")
 
 

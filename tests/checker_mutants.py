@@ -10,7 +10,8 @@ Most weakenings are derived from the source they weaken: without_check drops
 one `raise`, edited makes textual edits, and both compile the edited source
 in its module's globals.  So no function body is copied here, and a change
 that moves a weakened line fails collection with a ValueError rather than
-leaving an entry that tests a stale copy.
+leaving an entry that tests a stale copy.  schema_replaced swaps one rule's
+entry in the kernel's schema table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pytest
 from yablo import coding, gl, kernel, syntax
 from yablo.kernel import BlockChecker, _Fail, _KernelChecker
 from yablo.meta import _MetaChecker
+from yablo.syntax import And, Imp, Or
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,23 @@ def successor_left_unfolded(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(coding, "_succ_code", lambda inner, split: coding.pair(coding.TAG_SUCC, inner))
 
 
+def schema_replaced(rule: str, premises: tuple, conclusion) -> Callable[[pytest.MonkeyPatch], None]:
+    """The kernel's schema table with rule's schema replaced."""
+    table = {**kernel.SCHEMAS, rule: (premises, conclusion)}
+    return lambda mp: mp.setattr(_KernelChecker, "schemas", table)
+
+
+def schema_match_skipped(rule: str, pattern: str = "conclusion") -> Recompiled:
+    """BlockChecker.by_schema skipping, for rule only, one match: the stated
+    formula's against the conclusion pattern, or with pattern `premises[i]`,
+    a cited step's against that premise pattern."""
+    if pattern == "conclusion":
+        call, keep = "match_schema(conclusion,", f"step.rule != {rule!r}"
+    else:
+        call, keep = "match_schema(pattern,", f"(step.rule != {rule!r} or pattern is not {pattern})"
+    return edited(BlockChecker, "by_schema", (f"miss = {call}", f"miss = {keep} and {call}"))
+
+
 def templates_kept_by_name(mp: pytest.MonkeyPatch) -> None:
     """Patch in BlockChecker.declare keeping each template under its
     predicate name, in a table made afresh for each run, rather than on its
@@ -169,6 +188,7 @@ def templates_kept_by_name(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(BlockChecker, "declare", weakened)
 
 
+A, B, C = kernel.A, kernel.B, kernel.C  # the schema metavariables
 # K4's jump: the boxes and their bodies, without GL's Loeb premise
 K4_JUMP = ("boxed_left | {f}", "boxed_left")
 # shared with the tests that show each of these weakenings accepting its script
@@ -183,6 +203,7 @@ TABLEAU_JUMP = "test_gl.py::TestTableau::test_jump_keeps_the_loeb_premise_and_th
 WEAKENINGS = "test_kernel.py::TestCheckerWeakenings"
 META_WEAKENINGS = "test_meta.py::TestCheckerWeakenings"
 FUZZ = "test_script_fuzz.py::test_checkers_return_a_report_on_seeded_scripts"
+PROPOSITIONAL = "test_kernel.py::TestPropositionalRules"
 
 # Shape guards and citation counts: without one of these checks, a seeded
 # script makes the checker raise rather than report.
@@ -191,12 +212,6 @@ GUARDS = [
     (BlockChecker, "_one", "cites exactly one step"),
     (BlockChecker, "_two", "cites exactly two steps"),
     (BlockChecker, "close_block", "is open"),
-    (_KernelChecker, "rule_mp", "not an implication"),
-    (_KernelChecker, "rule_andI", "not a conjunction"),
-    (_KernelChecker, "rule_andE1", "not a conjunction"),
-    (_KernelChecker, "rule_andE2", "not a conjunction"),
-    (_KernelChecker, "rule_orE", "a disjunction and two implications"),
-    (_KernelChecker, "rule_negI", "implication into absurdity"),
     (_KernelChecker, "rule_allI", "not universally quantified"),
     (_KernelChecker, "rule_allE", "not universally quantified"),
     (_KernelChecker, "rule_exI", "not existentially quantified"),
@@ -205,14 +220,11 @@ GUARDS = [
     (_KernelChecker, "rule_numeval", "equalities and inequalities only"),
     (_KernelChecker, "rule_numeval", "not closed"),
     (_KernelChecker, "_definitional", "stated formula is not an implication"),
-    (_KernelChecker, "rule_gd1", "cites exactly one step"),
-    (_KernelChecker, "rule_gd1", "which does not exist"),
     (_KernelChecker, "rule_gd2", "shape must be"),
     (_KernelChecker, "rule_gd2", "does not contain an implication"),
     (_KernelChecker, "rule_gd3", "stated formula is not an implication"),
     (_KernelChecker, "rule_lob", "shape must be"),
     (_MetaChecker, "rule_m_kernel", "cannot resolve"),
-    (_MetaChecker, "rule_m_mp", "not about an implication"),
     (_MetaChecker, "rule_m_refl1", "not a quotation"),
     (_MetaChecker, "rule_m_witness", "not existential"),
     (_MetaChecker, "rule_m_witness", "lower bound"),
@@ -295,8 +307,7 @@ MUTANTS = [
     CheckerMutant("taut accepts any formula",
                   without_check(_KernelChecker, "rule_taut", "not a tautological consequence"),
                   f"{WEAKENINGS}::test_taut_rejects_a_non_consequence"),
-    CheckerMutant("mp without its consequent check",
-                  without_check(_KernelChecker, "rule_mp", "does not match the consequent"),
+    CheckerMutant("mp without its consequent check", schema_match_skipped("mp"),
                   f"{WEAKENINGS}::test_mp_stated_formula_must_be_the_consequent"),
     CheckerMutant("gd2 without the consequent's restricted substitution",
                   without_check(_KernelChecker, "rule_gd2", "quoted consequent does not"),
@@ -304,32 +315,23 @@ MUTANTS = [
     CheckerMutant("lob accepts any shape-correct formula",
                   without_check(_KernelChecker, "rule_lob", "if provable then true"),
                   f"{WEAKENINGS}::test_lob_antecedent_must_quote_the_soundness_assertion"),
-    CheckerMutant("reiterate accepts any formula",
-                  without_check(_KernelChecker, "rule_reiterate", "differs from the cited step"),
+    CheckerMutant("reiterate accepts any formula", schema_match_skipped("reiterate"),
                   f"{WEAKENINGS}::test_reiterate_repeats_the_cited_step"),
-    CheckerMutant("m-mp without its consequent check",
-                  without_check(_MetaChecker, "rule_m_mp", "does not match the consequent"),
+    CheckerMutant("m-mp without its consequent check", schema_match_skipped("m-mp"),
                   f"{META_WEAKENINGS}::test_m_mp_stated_formula_must_be_the_consequent"),
-    CheckerMutant("andI without its conjuncts check",
-                  without_check(_KernelChecker, "rule_andI", "conjuncts do not match"),
+    CheckerMutant("andI without its conjuncts check", schema_match_skipped("andI"),
                   f"{WEAKENINGS}::test_andI_conjuncts_are_the_cited_steps"),
-    CheckerMutant("andE1 accepts any formula",
-                  without_check(_KernelChecker, "rule_andE1", "not the left conjunct"),
+    CheckerMutant("andE1 accepts any formula", schema_match_skipped("andE1"),
                   f"{WEAKENINGS}::test_andE1_yields_the_left_conjunct"),
-    CheckerMutant("andE2 accepts any formula",
-                  without_check(_KernelChecker, "rule_andE2", "not the right conjunct"),
+    CheckerMutant("andE2 accepts any formula", schema_match_skipped("andE2"),
                   f"{WEAKENINGS}::test_andE2_yields_the_right_conjunct"),
-    CheckerMutant("orI1 accepts any formula",
-                  without_check(_KernelChecker, "rule_orI1", "left side is the cited step"),
+    CheckerMutant("orI1 accepts any formula", schema_match_skipped("orI1"),
                   f"{WEAKENINGS}::test_orI1_yields_a_disjunction_of_the_cited_step"),
-    CheckerMutant("orI2 accepts any formula",
-                  without_check(_KernelChecker, "rule_orI2", "right side is the cited step"),
+    CheckerMutant("orI2 accepts any formula", schema_match_skipped("orI2"),
                   f"{WEAKENINGS}::test_orI2_yields_a_disjunction_of_the_cited_step"),
-    CheckerMutant("orE without its case conclusions check",
-                  without_check(_KernelChecker, "rule_orE", "both case conclusions"),
+    CheckerMutant("orE without its case conclusions check", schema_match_skipped("orE"),
                   f"{WEAKENINGS}::test_orE_yields_the_case_conclusions"),
-    CheckerMutant("negI accepts any formula",
-                  without_check(_KernelChecker, "rule_negI", "negation of the refuted formula"),
+    CheckerMutant("negI accepts any formula", schema_match_skipped("negI"),
                   f"{WEAKENINGS}::test_negI_negates_the_refuted_formula"),
     CheckerMutant("allI without its body check",
                   without_check(_KernelChecker, "rule_allI", "does not match the quantified body"),
@@ -368,11 +370,9 @@ MUTANTS = [
     CheckerMutant("undeclared predicates pass the arity check",
                   without_check(_KernelChecker, "arity_check", "problem"),
                   f"{WEAKENINGS}::test_undeclared_predicate_is_rejected"),
-    CheckerMutant("orE on any first cited step",
-                  without_check(_KernelChecker, "rule_orE", "not a disjunction"),
+    CheckerMutant("orE on any first cited step", schema_match_skipped("orE", "premises[0]"),
                   f"{WEAKENINGS}::test_orE_first_cited_step_is_a_disjunction"),
-    CheckerMutant("orE without its left discharge check",
-                  without_check(_KernelChecker, "rule_orE", "left disjunct"),
+    CheckerMutant("orE without its left discharge check", schema_match_skipped("orE", "premises[1]"),
                   f"{WEAKENINGS}::test_orE_second_cited_step_discharges_the_left_disjunct"),
     CheckerMutant("exE without its antecedent check",
                   without_check(_KernelChecker, "rule_exE", "not the witness instance"),
@@ -380,6 +380,22 @@ MUTANTS = [
     CheckerMutant("m-witness outside the existential fragment",
                   without_check(_MetaChecker, "rule_m_witness", "existential fragment"),
                   f"{META_WEAKENINGS}::test_m_witness_body_is_in_the_existential_fragment"),
+    CheckerMutant("andE1 yields the right conjunct", schema_replaced("andE1", (And(A, B),), B),
+                  f"{PROPOSITIONAL}::test_and_or_neg_round"),
+    CheckerMutant("mp with its premises swapped", schema_replaced("mp", (A, Imp(A, B)), B),
+                  f"{WEAKENINGS}::test_mp_cites_the_implication_first"),
+    CheckerMutant("orE discharges the left disjunct twice",
+                  schema_replaced("orE", (Or(A, B), Imp(A, C), Imp(A, C)), C),
+                  f"{PROPOSITIONAL}::test_orE_needs_both_cases"),
+    CheckerMutant("schema metavariables bind but are never compared",
+                  edited(kernel, "match_schema", ("bound is instance or alpha_eq(bound, instance)", "True")),
+                  f"{PROPOSITIONAL}::test_mp_wrong_antecedent"),
+    CheckerMutant("schema connectives match any binary node",
+                  edited(kernel, "match_schema", ("if type(instance) is not kind:", "if False:")),
+                  f"{WEAKENINGS}::test_andE2_cites_a_conjunction"),
+    CheckerMutant("schema rules take any number of citations",
+                  without_check(BlockChecker, "by_schema", "cites"),
+                  f"{WEAKENINGS}::test_schema_rules_check_the_citation_count"),
     CheckerMutant("unknown rules reach no handler check",
                   without_check(BlockChecker, "handler", "unknown rule"),
                   f"{WEAKENINGS}::test_unknown_rule_is_rejected"),

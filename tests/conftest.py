@@ -17,8 +17,9 @@ def registry() -> Registry:
 
 
 @pytest.fixture(scope="session")
-def mutant_reports(registry) -> list[tuple[str, CheckReport]]:
-    """Every single-step mutant of the bundled kernel scripts, checked once."""
-    return [(label, check_kernel_script(mutant, base_signature(), registry.axioms))
+def mutant_reports(registry) -> list[tuple[str, CheckReport, int, int]]:
+    """Every single-step mutant of the bundled kernel scripts, checked once,
+    with the first and last step its violation may sit at."""
+    return [(label, check_kernel_script(mutant, base_signature(), registry.axioms), lo, hi)
             for name in KERNEL_ORDER
-            for label, mutant in all_mutants(registry.script(name))]
+            for label, mutant, lo, hi in all_mutants(registry.script(name))]

@@ -85,8 +85,8 @@ def test_criterion_2_meta_assumptions_are_minimal(registry):
 
 def test_criterion_3_single_step_mutations_all_rejected(mutant_reports):
     checked = len(mutant_reports)
-    survivors = [label for label, report in mutant_reports if report.ok]
-    unlocalized = [label for label, report in mutant_reports
+    survivors = [label for label, report, *_ in mutant_reports if report.ok]
+    unlocalized = [label for label, report, *_ in mutant_reports
                    if not report.ok and (report.first() is None or report.first().step is None)]
     assert checked >= 50, f"only {checked} mutants generated"
     assert not survivors, survivors[:10]

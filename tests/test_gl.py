@@ -1,12 +1,14 @@
 import random
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import reference_brute_force as reference
 from modalgen import random_formula, small_formulas
-from yablo import gl
+from yablo import gl, kernel
+from yablo import syntax as fol
 from yablo.gl import (
     And,
     Atom,
@@ -28,6 +30,8 @@ from yablo.gl import (
     print_modal,
     skeleton,
 )
+from yablo.kernel import _KernelChecker
+from yablo.meta import _MetaChecker
 from yablo.parser import MAX_DEPTH, ParseError, parse_formula
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -345,3 +349,24 @@ class TestSkeletons:
         got = skeleton(parse_formula("Prov[ Con ; ] -> ~Con"))
         assert decide_gl(got).valid
         assert brute_force(got, 4).valid
+
+
+def schema_skeleton(premises, conclusion):
+    """The modal skeleton of `p1 -> ... -> pn -> c` for a rule schema, each
+    metavariable an opaque atom."""
+    return skeleton(reduce(lambda c, p: fol.Imp(p, c), reversed(premises), conclusion))
+
+
+class TestRuleSchemas:
+    """Every rule schema of both checkers is valid read as a GL formula, so
+    each rule only ever derives consequences of the steps it cites."""
+
+    @pytest.mark.parametrize("schema", [pytest.param(schema, id=rule)
+                                        for checker in (_KernelChecker, _MetaChecker)
+                                        for rule, schema in checker.schemas.items()])
+    def test_schema_is_gl_valid(self, schema):
+        assert decide_gl(schema_skeleton(*schema)).valid
+
+    def test_invalid_schema_is_refuted(self):
+        a, b = kernel.A, kernel.B
+        assert not decide_gl(schema_skeleton((fol.Or(a, b),), a)).valid

@@ -209,24 +209,51 @@ class TestTautConsequenceAgainstRowByRow:
         assert str(new.value) == str(old.value) == "too many distinct atoms for a truth-table check (17)"
 
 
+def instance_env(schema, inst):
+    """The bindings under which inst is an instance of schema, or None."""
+    env = {}
+    return env if match_schema(schema, inst, env) is None else None
+
+
 class TestMatchSchema:
     def test_instance_found(self):
         schema = f("x < y -> (y < z -> x < z)")
         inst = f("k < k + 1 -> (k + 1 < u -> k < u)")
-        got = match_schema(schema, inst)
+        got = instance_env(schema, inst)
         assert got == {"x": Var("k"), "y": parse_term("k + 1"), "z": Var("u")}
 
     def test_repeated_variables_must_agree(self):
-        assert match_schema(f("~(x < x)"), f("~(k < k)")) is not None
-        assert match_schema(f("~(x < x)"), f("~(k < u)")) is None
+        assert instance_env(f("~(x < x)"), f("~(k < k)")) is not None
+        assert instance_env(f("~(x < x)"), f("~(k < u)")) is None
 
     def test_shape_mismatch(self):
-        assert match_schema(f("x < S(x)"), f("k < k + 1")) is None
+        assert instance_env(f("x < S(x)"), f("k < k + 1")) is None
 
     def test_successor_pattern_matches_positive_numerals(self):
-        assert match_schema(f("x < S(x)"), f("3 < 4")) == {"x": numeral(3)}
-        assert match_schema(f("x < S(x)"), f("3 < 5")) is None
-        assert match_schema(f("S(x) = y"), f("0 = 0")) is None
+        assert instance_env(f("x < S(x)"), f("3 < 4")) == {"x": numeral(3)}
+        assert instance_env(f("x < S(x)"), f("3 < 5")) is None
+        assert instance_env(f("S(x) = y"), f("0 = 0")) is None
+
+    def test_metavariables_bind_formulas_up_to_renaming(self):
+        (prem, minor), concl = kernel.SCHEMAS["mp"]
+        env = {}
+        assert match_schema(prem, f("(all x. x < k) -> P"), env) is None
+        assert match_schema(minor, f("all y. y < k"), env) is None
+        assert env == {"A": f("all x. x < k"), "B": f("P")}
+        miss = match_schema(concl, f("Q(k)"), env)
+        assert miss == (kernel.B, f("Q(k)"))
+
+    def test_mismatch_is_the_first_differing_subformula(self):
+        ((prem,), _) = kernel.SCHEMAS["negI"]
+        assert match_schema(prem, f("P -> Q(k)"), {}) == (Falsum(), f("Q(k)"))
+        assert match_schema(prem, f("P & bot"), {}) == (prem, f("P & bot"))
+
+    def test_con_and_axiom_atoms_are_not_metavariables(self):
+        (_, con_def) = kernel.SCHEMAS["con-def"]
+        assert match_schema(con_def, f("(Con -> ~Prov[ bot ;]) & (~Prov[ bot ;] -> Con)"), {}) is None
+        assert match_schema(con_def, f("(P -> ~Prov[ bot ;]) & (~Prov[ bot ;] -> P)"), {}) is not None
+        assert instance_env(f("P -> x < x"), f("Q(k) -> k < k")) is None
+        assert instance_env(f("P -> x < x"), f("P -> k < k")) == {"x": Var("k")}
 
 
 class TestEvalClosedTerm:
@@ -301,7 +328,7 @@ class TestPropositionalRules:
             "2. assume R(k, k)\n"
             "3. Q(k) by mp 1, 2\n"
         )
-        rejected_at(run(body, "Q(k)"), 3, "antecedent")
+        rejected_at(run(body, "Q(k)"), 3, "cited step 2: expected P at A, found R(k, k)")
 
     def test_and_or_neg_round(self):
         body = (
@@ -322,7 +349,7 @@ class TestPropositionalRules:
             "4. qed-block 2\n"
             "5. P | P by orE 1, 4, 4\n"
         )
-        rejected_at(run(body, "P | P"), 5, "right disjunct")
+        rejected_at(run(body, "P | P"), 5, "cited step 4: expected Q(k) at B, found P")
 
     def test_negI_negE(self):
         body = (
@@ -341,7 +368,7 @@ class TestPropositionalRules:
             "2. assume Q(k)\n"
             "3. bot by negE 2, 1\n"
         )
-        rejected_at(run(body, "bot"), 3, "negation of the first")
+        rejected_at(run(body, "bot"), 3, "cited step 1: expected Q(k) at A, found P")
 
 
 class TestQuantifierRules:
@@ -442,7 +469,7 @@ class TestCheckerWeakenings:
             "2. 0 = 0 -> 0 = 0 by taut\n"
             "3. bot by mp 1, 2"
         )
-        rejected_at(run(body, "bot"), 3, "stated formula does not match the consequent")
+        rejected_at(run(body, "bot"), 3, "expected 0 = 0 -> 0 = 0 at B, stated bot")
 
     def test_gd2_consequent_carries_the_restricted_substitution(self):
         stated = ("Prov[ x < y -> x < y + 1 ; x := k, y := k ] -> "
@@ -456,29 +483,29 @@ class TestCheckerWeakenings:
 
     def test_reiterate_repeats_the_cited_step(self):
         rejected_at(run("1. 0 = 0 by numeval\n2. bot by reiterate 1", "bot"),
-                    2, "stated formula differs from the cited step")
+                    2, "expected 0 = 0 at A, stated bot")
 
     # Each script below derives bot, or quotes it, through one step that
     # compares its stated formula with what the rule yields.
     def test_andI_conjuncts_are_the_cited_steps(self):
         body = "1. 0 = 0 by numeval\n2. 0 = 0 & bot by andI 1, 1\n3. bot by andE2 2"
-        rejected_at(run(body, "bot"), 2, "conjuncts do not match the cited steps")
+        rejected_at(run(body, "bot"), 2, "expected 0 = 0 at B, stated bot")
 
     def test_andE1_yields_the_left_conjunct(self):
         body = "1. 0 = 0 by numeval\n2. 0 = 0 & 0 = 0 by andI 1, 1\n3. bot by andE1 2"
-        rejected_at(run(body, "bot"), 3, "stated formula is not the left conjunct")
+        rejected_at(run(body, "bot"), 3, "expected 0 = 0 at A, stated bot")
 
     def test_andE2_yields_the_right_conjunct(self):
         body = "1. 0 = 0 by numeval\n2. 0 = 0 & 0 = 0 by andI 1, 1\n3. bot by andE2 2"
-        rejected_at(run(body, "bot"), 3, "stated formula is not the right conjunct")
+        rejected_at(run(body, "bot"), 3, "expected 0 = 0 at B, stated bot")
 
     def test_orI1_yields_a_disjunction_of_the_cited_step(self):
         rejected_at(run("1. 0 = 0 by numeval\n2. bot by orI1 1", "bot"),
-                    2, "not a disjunction whose left side is the cited step")
+                    2, "expected A | B, stated bot")
 
     def test_orI2_yields_a_disjunction_of_the_cited_step(self):
         rejected_at(run("1. 0 = 0 by numeval\n2. bot by orI2 1", "bot"),
-                    2, "not a disjunction whose right side is the cited step")
+                    2, "expected A | B, stated bot")
 
     def test_orE_yields_the_case_conclusions(self):
         body = (
@@ -487,15 +514,26 @@ class TestCheckerWeakenings:
             "3. 0 = 0 -> 0 = 0 by taut\n"
             "4. bot by orE 2, 3, 3"
         )
-        rejected_at(run(body, "bot"), 4, "stated formula does not match both case conclusions")
+        rejected_at(run(body, "bot"), 4, "expected 0 = 0 at C, stated bot")
 
     def test_orE_first_cited_step_is_a_disjunction(self):
         rejected_at(run("1. bot -> bot by taut\n2. bot by orE 1, 1, 1", "bot"),
-                    2, "first cited step is not a disjunction")
+                    2, "cited step 1: expected A | B, found bot -> bot")
+
+    def test_mp_cites_the_implication_first(self):
+        body = "1. assume P\n2. assume P -> Q(k)\n3. Q(k) by mp 1, 2"
+        rejected_at(run(body, "bot"), 3, "cited step 1: expected A -> B, found P")
+
+    def test_andE2_cites_a_conjunction(self):
+        rejected_at(run("1. ~bot | bot by taut\n2. bot by andE2 1", "bot"),
+                    2, "cited step 1: expected A & B, found ~bot | bot")
+
+    def test_schema_rules_check_the_citation_count(self):
+        rejected_at(run("1. bot by reiterate", "bot"), 1, "reiterate cites exactly one step")
 
     def test_orE_second_cited_step_discharges_the_left_disjunct(self):
         body = "1. ~bot | bot by taut\n2. bot -> bot by taut\n3. bot by orE 1, 2, 2"
-        rejected_at(run(body, "bot"), 3, "second cited step does not discharge the left disjunct")
+        rejected_at(run(body, "bot"), 3, "cited step 2: expected ~bot at A, found bot")
 
     def test_negI_negates_the_refuted_formula(self):
         body = (
@@ -504,7 +542,7 @@ class TestCheckerWeakenings:
             "3. 0 = 0 by numeval\n"
             "4. bot by negE 3, 2"
         )
-        rejected_at(run(body, "bot"), 2, "stated formula is not the negation of the refuted formula")
+        rejected_at(run(body, "bot"), 2, "expected bot at A, stated 0 = 0")
 
     def test_allI_body_is_the_cited_step(self):
         body = "1. 0 = 0 by numeval\n2. all x. bot by allI 1\n3. bot by allE 2 with 0"
@@ -738,12 +776,13 @@ class TestQuotationRules:
         good = "1. (Con -> ~Prov[ bot ;]) & (~Prov[ bot ;] -> Con) by con-def"
         assert run(good, "(Con -> ~Prov[ bot ;]) & (~Prov[ bot ;] -> Con)").ok
         bad = "1. (Con -> Prov[ bot ;]) & (Prov[ bot ;] -> Con) by con-def"
-        rejected_at(run(bad, "P"), 1, "definitional equivalence")
+        rejected_at(run(bad, "P"), 1, "expected ~Prov[bot ;], stated Prov[bot ;]")
 
 
 class TestScriptParsing:
     def test_rule_table_matches_checker_handlers(self):
         handlers = {n[len("rule_"):] for n in dir(_KernelChecker) if n.startswith("rule_")}
+        handlers |= {rule.replace("-", "_") for rule in _KernelChecker.schemas}
         assert {rule.replace("-", "_") for rule in KERNEL_RULES} == handlers
 
     def test_var_declarations_are_not_accepted(self):

@@ -5,7 +5,7 @@ import pytest
 from checker_mutants import M_REFL1_SKIPS_RANGES
 from yablo.corpus import Registry
 from yablo.kernel import _Fail
-from yablo.meta import ResolveError, _MetaChecker, check_meta_script, list_rules
+from yablo.meta import _RULES, ResolveError, _MetaChecker, check_meta_script
 from yablo.parser import parse_formula
 from yablo.scripts import META_RULES, ScriptError, parse_meta_script, parse_script
 from yablo.syntax import base_signature
@@ -91,7 +91,7 @@ class TestGates:
                 'meta-theorem t "x"\nassume-meta Sound\nconclusion NotPrv: bot\n')
 
     def test_every_gated_rule_names_its_gate(self):
-        gates = {r.name: r.gate for r in list_rules()}
+        gates = {r.name: r.gate for r in _RULES.values()}
         assert gates["m-refl1"] == "OneCon"
         assert gates["m-witness"] == "OneCon"
         assert gates["m-con"] == "Con"
@@ -116,7 +116,7 @@ class TestJudgmentRules:
             "2. Prv: Q(k) by m-kernel q\n"
             "3. Prv: Q(k) by m-mp 1, 2\n"
         )
-        rejected_at(run(body, "Prv: Q(k)", resolver=resolver), 3, "antecedent")
+        rejected_at(run(body, "Prv: Q(k)", resolver=resolver), 3, "cited step 2: expected P at A, found Q(k)")
 
     def test_m_inst_substitutes_schematic_numerals(self):
         resolver = StubResolver(kernel={"gen": f("k < k + 1")})
@@ -192,7 +192,7 @@ class TestCheckerWeakenings:
             "3. Prv: bot by m-mp 1, 2\n"
         )
         rejected_at(run(body, "Prv: bot", resolver=resolver),
-                    3, "stated formula does not match the consequent")
+                    3, "expected P at B, stated bot")
 
     def test_cited_step_must_be_a_Prv_judgment(self):
         # m-inst would turn the refuted P into a Prv judgment
@@ -431,8 +431,9 @@ class TestParsing:
 
     def test_rule_tables_match_checker_handlers(self):
         handlers = {n[len("rule_"):] for n in dir(_MetaChecker) if n.startswith("rule_")}
+        handlers |= {rule.replace("-", "_") for rule in _MetaChecker.schemas}
         assert {rule.replace("-", "_") for rule in META_RULES} == handlers
-        assert {r.name for r in list_rules()} == set(META_RULES)
+        assert set(_RULES) == set(META_RULES)
 
     def test_unknown_meta_rule(self):
         with pytest.raises(ScriptError, match="unknown meta rule"):

@@ -15,7 +15,7 @@ from importlib import resources
 
 from astgen import VARS, rand_formula, rand_term
 from yablo.kernel import CheckReport, check_kernel_script
-from yablo.meta import ResolveError, check_meta_script, list_rules
+from yablo.meta import _RULES, ResolveError, check_meta_script
 from yablo.scripts import (
     KERNEL_RULES,
     META_RULES,
@@ -46,7 +46,7 @@ from yablo.syntax import (
 
 SCRIPTS = 600
 AXIOMS = load_axioms((resources.files("yablo") / "corpus" / "arith.axioms").read_text())
-CONCLUDES = {r.name: r.judgment for r in list_rules()}
+CONCLUDES = {r.name: r.judgment for r in _RULES.values()}
 NAMES = [*AXIOMS, "Q", "P", "Con", "nope"]  # axioms, a defined, a declared and an unknown name
 
 
